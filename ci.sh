@@ -216,6 +216,12 @@ smoke() {
     cargo test --release -q --offline --test stale_golden
     cargo test --release -q --offline -p dns-netd --test stale_live
 
+    echo "== smoke: repository benchmark self-tests =="
+    # perfbench is a package of its own that builds against the crates'
+    # public counter structs (ResolverMetrics, DaemonStats); its tests
+    # include a smoke run of every workload.
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
     echo "smoke OK"
 }
 
@@ -239,6 +245,7 @@ cargo clippy -p dns-resolver --all-targets --offline -- -D warnings \
     -D clippy::mutex_atomic
 
 echo "== cargo test =="
-cargo test -q --offline
+# --workspace: the root package alone would skip every crate's own tests.
+cargo test --workspace -q --offline
 
 smoke

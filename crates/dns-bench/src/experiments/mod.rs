@@ -780,12 +780,12 @@ pub fn adversarial(lab: &mut Lab, spec: &TraceSpec) {
             o.attack_queries.to_string(),
             ratio(o.amplification()),
             o.base_upstream.to_string(),
-            o.attacked_upstream.to_string(),
+            o.window.queries_out.to_string(),
             pct(o.legit_failed_pct),
             format!("{:+.2}", o.legit_failed_delta_pct()),
-            o.fetches_clamped.to_string(),
-            o.flood_suppressed.to_string(),
-            o.neg_evictions_pressure.to_string(),
+            o.window.fetches_clamped.to_string(),
+            o.window.flood_suppressed.to_string(),
+            o.window.neg_evictions_pressure.to_string(),
         ]);
     }
     emit(
@@ -1021,7 +1021,7 @@ pub fn stale(lab: &mut Lab, spec: &TraceSpec) -> StaleSummary {
             pct(o.legit_failed_pct),
             format!("{:+.2}", o.legit_failed_delta_pct()),
             o.window.stale_served.to_string(),
-            o.flood_suppressed.to_string(),
+            o.window.flood_suppressed.to_string(),
         ]);
     }
     emit(

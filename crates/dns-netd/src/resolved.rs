@@ -12,7 +12,7 @@ use crate::packetio::{Packet, PacketBatch, PacketIo, UdpPacketIo};
 use crate::wall_clock;
 use crate::wirecache::{self, WireCache};
 use dns_core::{wire, Message, RData, Rcode, Record, RecordClass, RecordType, SimTime, Ttl};
-use dns_obs::{HistId, LogHistogram, Registry};
+use dns_obs::{HistId, Registry};
 use dns_resolver::{
     CacheBackend, CachingServer, LocalBackend, Outcome, ResolverConfig, ResolverMetrics, RootHints,
     ShardedCache, Upstream,
@@ -30,30 +30,19 @@ use std::time::{Duration, Instant};
 /// (the `version.bind.` convention, for metrics).
 pub const CHAOS_METRICS_NAME: &str = "metrics.bind";
 
-/// Daemon-side counters: what happened between the socket and the
-/// resolver (the resolver's own counters live in
-/// [`dns_resolver::ResolverMetrics`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DaemonStats {
-    /// Responses successfully sent back to clients.
-    pub served: u64,
-    /// Responses that could not be sent (socket-level send errors).
-    pub send_errors: u64,
-    /// Responses too large for the wire that were downgraded to a
-    /// TC-bit truncated reply instead of being silently dropped.
-    pub truncated_responses: u64,
-    /// Queries answered from the pre-serialized wire cache (fast lane).
-    pub wire_hits: u64,
-    /// Fast-lane-eligible queries that missed the wire cache and took
-    /// the full decode/resolve path.
-    pub wire_misses: u64,
-    /// Packets ineligible for the fast lane (CHAOS class, EDNS0/OPT
-    /// additionals, compressed question names, non-query opcodes, …)
-    /// routed straight to the slow path.
-    pub wire_bypass: u64,
-    /// Compiled response bytes currently held by the wire cache (the
-    /// quantity its byte budget bounds).
-    pub wire_bytes: u64,
+dns_obs::counter_set! {
+    /// Daemon-side counters: what happened between the socket and the
+    /// resolver (the resolver's own counters live in
+    /// [`dns_resolver::ResolverMetrics`]). Exposed as `daemon_<field>`.
+    pub struct DaemonStats, prefix "daemon_" {
+        served: "Responses sent back to clients",
+        send_errors: "Responses lost to socket send errors",
+        truncated_responses: "Oversized responses downgraded to a TC-bit truncated reply instead of dropped",
+        wire_hits: "Queries answered from the pre-serialized wire cache (fast lane)",
+        wire_misses: "Fast-lane-eligible queries that missed the wire cache and took the slow path",
+        wire_bypass: "Packets ineligible for the fast lane (CHAOS class, EDNS0 OPT, compressed question names, non-query opcodes)",
+        wire_bytes: "Compiled response bytes currently held by the wire cache (the quantity its byte budget bounds)",
+    }
 }
 
 impl fmt::Display for DaemonStats {
@@ -125,14 +114,6 @@ impl DaemonObs {
 
     fn observe_slow(&mut self, ms: u64) {
         self.registry.observe(self.wall_slow, ms);
-    }
-
-    fn fast_histogram(&self) -> &dns_obs::LogHistogram {
-        self.registry.hist(self.wall_fast)
-    }
-
-    fn slow_histogram(&self) -> &dns_obs::LogHistogram {
-        self.registry.hist(self.wall_slow)
     }
 }
 
@@ -485,8 +466,7 @@ impl<B: CacheBackend + Send + 'static> Resolved<B> {
         let Ok(query) = wire::decode(raw) else {
             return;
         };
-        let stats = shared.stats();
-        let (response, expiry) = Self::answer(shared, index, upstream, stats, &query, now);
+        let (response, expiry) = Self::answer(shared, index, upstream, &query, now);
         let Some((mut bytes, offsets, was_truncated)) =
             encode_or_truncate(&query, &response, &shared.truncated)
         else {
@@ -519,7 +499,6 @@ impl<B: CacheBackend + Send + 'static> Resolved<B> {
         shared: &Shared<B>,
         index: usize,
         upstream: &mut U,
-        stats: DaemonStats,
         query: &Message,
         now: SimTime,
     ) -> (Message, Option<SimTime>) {
@@ -530,8 +509,7 @@ impl<B: CacheBackend + Send + 'static> Resolved<B> {
             return (resp, None);
         };
         if question.class == RecordClass::Ch {
-            let resp = Self::answer_chaos(&shared.servers, &shared.obs, stats, resp, &question);
-            return (resp, None);
+            return (Self::answer_chaos(shared, resp, &question), None);
         }
         let start = Instant::now();
         let (outcome, expiry) = {
@@ -566,15 +544,11 @@ impl<B: CacheBackend + Send + 'static> Resolved<B> {
 
     /// Answers `CHAOS`-class queries: `TXT metrics.bind.` dumps the
     /// daemon's metrics snapshot (one TXT string per metric line, the
-    /// `version.bind.` convention); everything else is REFUSED. With
-    /// multiple resolvers (sharded mode) counters are summed and
-    /// latency histograms merged across the pool, and the shared
-    /// backend's own registry (shard counters, coalescing totals) is
-    /// appended.
+    /// `version.bind.` convention); everything else is REFUSED. The
+    /// snapshot is [`metrics_registry`]'s, as for
+    /// [`Resolved::prometheus`].
     fn answer_chaos(
-        servers: &[Arc<Mutex<CachingServer<B>>>],
-        obs: &Mutex<DaemonObs>,
-        stats: DaemonStats,
+        shared: &Shared<B>,
         mut resp: Message,
         question: &dns_core::Question,
     ) -> Message {
@@ -583,26 +557,13 @@ impl<B: CacheBackend + Send + 'static> Resolved<B> {
             resp.header.rcode = Rcode::Refused;
             return resp;
         }
-        let (metrics, latency, backend_reg) = pool_snapshot(servers);
-        let snapshot = {
-            let obs = obs.lock().unwrap();
-            metrics_registry(stats, &metrics, &latency, &obs)
-        };
-        let mut push_txt = |line: String| {
+        for line in metrics_registry(shared).render_compact() {
             resp.answers.push(Record::with_class(
                 question.name.clone(),
                 RecordClass::Ch,
                 Ttl::ZERO,
                 RData::Txt(line),
             ));
-        };
-        for line in snapshot.render_compact() {
-            push_txt(line);
-        }
-        if let Some(reg) = backend_reg {
-            for line in reg.render_compact() {
-                push_txt(line);
-            }
         }
         resp
     }
@@ -645,11 +606,6 @@ impl<B: CacheBackend> Resolved<B> {
         self.shared.lane.cache.lock().unwrap().len()
     }
 
-    /// Compiled response bytes currently in the wire fast-lane cache.
-    pub fn wire_cache_bytes(&self) -> usize {
-        self.shared.lane.cache.lock().unwrap().bytes()
-    }
-
     /// Snapshot of the resolver's counters, summed over every resolver
     /// in the pool (a single resolver in default mode).
     pub fn metrics(&self) -> dns_resolver::ResolverMetrics {
@@ -662,19 +618,11 @@ impl<B: CacheBackend> Resolved<B> {
 
     /// Prometheus-text snapshot of every daemon and resolver metric —
     /// the same registry the `CHAOS TXT metrics.bind.` answer renders in
-    /// compact form. In sharded mode the pool's counters are summed,
-    /// latency histograms merged, and the shared backend's registry
-    /// (shard counters, coalescing totals) appended.
+    /// compact form. With a worker pool the resolvers' counters are
+    /// summed and their registries merged, and the shared backend's
+    /// registry (shard counters, coalescing totals) is merged in.
     pub fn prometheus(&self) -> String {
-        let stats = self.stats();
-        let (metrics, latency, backend_reg) = pool_snapshot(&self.shared.servers);
-        let obs = self.shared.obs.lock().unwrap();
-        let mut out = metrics_registry(stats, &metrics, &latency, &obs).render_prometheus();
-        drop(obs);
-        if let Some(reg) = backend_reg {
-            out.push_str(&reg.render_prometheus());
-        }
-        out
+        metrics_registry(&self.shared).render_prometheus()
     }
 
     /// Turns on per-query tracing in every resolver of the pool; the
@@ -733,212 +681,43 @@ impl<B: CacheBackend> fmt::Display for Resolved<B> {
     }
 }
 
-/// Aggregates a worker pool's resolver state: summed counters, merged
-/// modelled-latency histogram, and (when the backend exposes one, i.e.
-/// sharded mode) the shared backend's own registry.
-fn pool_snapshot<B: CacheBackend>(
-    servers: &[Arc<Mutex<CachingServer<B>>>],
-) -> (ResolverMetrics, LogHistogram, Option<Registry>) {
+/// Builds a one-shot [`Registry`] holding the daemon's full metric
+/// surface: every [`DaemonStats`] counter, every [`ResolverMetrics`]
+/// counter summed over the pool, the resolvers' own registries (the
+/// modelled resolve-latency histogram) merged over the pool, the
+/// measured wall-clock histograms plus their union, and the shared
+/// backend's registry when it keeps one. Rendered compact for `CHAOS TXT`
+/// answers and as Prometheus text for [`Resolved::prometheus`].
+fn metrics_registry<B: CacheBackend>(shared: &Shared<B>) -> Registry {
+    let mut reg = Registry::new();
     let mut metrics = ResolverMetrics::default();
-    let mut latency = LogHistogram::default();
-    let mut backend_reg = None;
-    for (i, s) in servers.iter().enumerate() {
+    let mut backend = None;
+    for s in &shared.servers {
         let cs = s.lock().unwrap();
         metrics = metrics + *cs.metrics();
-        latency.merge(cs.latency_histogram());
-        if i == 0 {
-            backend_reg = cs.backend().obs_registry();
-        }
+        reg.merge(cs.obs().registry());
+        // Every resolver of a sharded pool shares one backend: take its
+        // registry once.
+        backend = backend.or_else(|| cs.backend().obs_registry());
     }
-    (metrics, latency, backend_reg)
-}
-
-/// Builds a one-shot [`Registry`] holding the daemon's full metric
-/// surface: socket-level counters, the wire fast-lane trio, every
-/// resolver counter, the modelled (virtual-ms) resolve-latency histogram
-/// and the measured wall-clock latency histogram. Rendered compact for
-/// `CHAOS TXT` answers and as Prometheus text for
-/// [`Resolved::prometheus`].
-fn metrics_registry(
-    stats: DaemonStats,
-    metrics: &ResolverMetrics,
-    resolve_latency: &dns_obs::LogHistogram,
-    obs: &DaemonObs,
-) -> Registry {
-    let mut reg = Registry::new();
-    let mut set = |name: &'static str, help: &'static str, value: u64| {
-        let id = reg.counter(name, help);
-        reg.set(id, value);
-    };
-    set(
-        "daemon_served",
-        "Responses sent back to clients",
-        stats.served,
-    );
-    set(
-        "daemon_send_errors",
-        "Responses lost to socket send errors",
-        stats.send_errors,
-    );
-    set(
-        "daemon_truncated_responses",
-        "Oversized responses downgraded to TC-bit replies",
-        stats.truncated_responses,
-    );
-    set(
-        "daemon_wire_hits",
-        "Queries answered from the pre-serialized wire cache",
-        stats.wire_hits,
-    );
-    set(
-        "daemon_wire_misses",
-        "Fast-lane-eligible queries that missed the wire cache",
-        stats.wire_misses,
-    );
-    set(
-        "daemon_wire_bypass",
-        "Packets ineligible for the wire fast lane",
-        stats.wire_bypass,
-    );
-    set(
-        "daemon_wire_bytes",
-        "Compiled response bytes currently held by the wire cache",
-        stats.wire_bytes,
-    );
-    set(
-        "resolver_queries_in",
-        "Client queries resolved",
-        metrics.queries_in,
-    );
-    set(
-        "resolver_failed_in",
-        "Client queries that ended in failure",
-        metrics.failed_in,
-    );
-    set(
-        "resolver_cache_hits",
-        "Queries answered from cache",
-        metrics.cache_hits,
-    );
-    set(
-        "resolver_queries_out",
-        "Upstream queries sent",
-        metrics.queries_out,
-    );
-    set(
-        "resolver_failed_out",
-        "Upstream queries that got no usable response",
-        metrics.failed_out,
-    );
-    set("resolver_referrals", "Referrals chased", metrics.referrals);
-    set(
-        "resolver_refreshes",
-        "Proactive cache refreshes",
-        metrics.refreshes,
-    );
-    set(
-        "resolver_renewals_sent",
-        "Renewal probes sent",
-        metrics.renewals_sent,
-    );
-    set(
-        "resolver_renewals_ok",
-        "Renewal probes that succeeded",
-        metrics.renewals_ok,
-    );
-    set(
-        "resolver_negative_answers",
-        "NXDOMAIN/NODATA answers",
-        metrics.negative_answers,
-    );
-    set(
-        "resolver_retries",
-        "Upstream retransmissions",
-        metrics.retries,
-    );
-    set(
-        "resolver_backoff_wait_ms",
-        "Total virtual milliseconds spent in retry backoff",
-        metrics.backoff_wait_ms,
-    );
-    set(
-        "resolver_deadline_exhausted",
-        "Exchanges abandoned after the retry deadline",
-        metrics.deadline_exhausted,
-    );
-    set(
-        "resolver_mismatched_responses",
-        "Responses dropped for ID/question mismatch",
-        metrics.mismatched_responses,
-    );
-    set(
-        "resolver_fetches_clamped",
-        "NS-address fetches clamped by the MaxFetch(k) defense",
-        metrics.fetches_clamped,
-    );
-    set(
-        "resolver_flood_suppressed",
-        "Queries refused by flood damping (inflight caps, refused negative storage)",
-        metrics.flood_suppressed,
-    );
-    set(
-        "resolver_neg_evictions_pressure",
-        "Negative-cache entries evicted under budget pressure",
-        metrics.neg_evictions_pressure,
-    );
-    set(
-        "resolver_stale_served",
-        "Expired answers served inside the serve-stale window (RFC 8767)",
-        metrics.stale_served,
-    );
-    set(
-        "resolver_stale_expired_unserved",
-        "Failed lookups whose stale candidate had aged past the window",
-        metrics.stale_expired_unserved,
-    );
-    set(
-        "resolver_refresh_ahead",
-        "Proactive refreshes issued ahead of expiry",
-        metrics.refresh_ahead,
-    );
-    set(
-        "resolver_prefetch_issued",
-        "Predictive prefetches issued by the inter-arrival learner",
-        metrics.prefetch_issued,
-    );
-    set(
-        "resolver_prefetch_hits",
-        "Prefetched names whose next query hit fresh cache",
-        metrics.prefetch_hits,
-    );
-    set(
-        "resolver_prefetch_wasted",
-        "Prefetched names whose next query still missed",
-        metrics.prefetch_wasted,
-    );
-    let resolve_id = reg.histogram(
-        "resolve_latency_ms",
-        "Modelled resolution latency per query in virtual milliseconds",
-    );
-    reg.hist_mut(resolve_id).merge(resolve_latency);
-    let fast_id = reg.histogram(
-        "wall_latency_fast_ms",
-        "Wall-clock latency per wire fast-lane hit in milliseconds",
-    );
-    reg.hist_mut(fast_id).merge(obs.fast_histogram());
-    let slow_id = reg.histogram(
-        "wall_latency_slow_ms",
-        "Wall-clock latency per slow-path resolution in milliseconds",
-    );
-    reg.hist_mut(slow_id).merge(obs.slow_histogram());
+    for f in shared.stats().fields().chain(metrics.fields()) {
+        let id = reg.counter(f.name, f.help);
+        reg.set(id, f.value);
+    }
+    let obs = shared.obs.lock().unwrap();
+    reg.merge(&obs.registry);
     // The pre-split series, kept as the union of both lanes so existing
     // dashboards keep a total-latency view.
-    let wall_id = reg.histogram(
+    let wall = reg.histogram(
         "wall_latency_ms",
         "Wall-clock resolution latency per client query in milliseconds (both lanes)",
     );
-    reg.hist_mut(wall_id).merge(obs.fast_histogram());
-    reg.hist_mut(wall_id).merge(obs.slow_histogram());
+    reg.hist_mut(wall).merge(obs.registry.hist(obs.wall_fast));
+    reg.hist_mut(wall).merge(obs.registry.hist(obs.wall_slow));
+    drop(obs);
+    if let Some(backend) = backend {
+        reg.merge(&backend);
+    }
     reg
 }
 

@@ -19,6 +19,8 @@ use std::collections::HashMap;
 use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
 
+mod common;
+
 fn client_timeout() -> Duration {
     Duration::from_secs(5)
 }
@@ -90,53 +92,6 @@ fn wait_for(deadline: Duration, mut done: impl FnMut() -> bool) -> bool {
         std::thread::sleep(Duration::from_millis(5));
     }
     done()
-}
-
-/// Parses the compact `name=value` / `name count=.. p50=..` TXT lines
-/// into per-metric key→value maps.
-fn parse_snapshot(lines: &[String]) -> HashMap<String, HashMap<String, u64>> {
-    let mut out = HashMap::new();
-    for line in lines {
-        if let Some((name, value)) = line.split_once('=') {
-            if !name.contains(' ') {
-                let mut fields = HashMap::new();
-                fields.insert("value".to_string(), value.parse().unwrap());
-                out.insert(name.to_string(), fields);
-                continue;
-            }
-        }
-        let mut parts = line.split_whitespace();
-        let name = parts.next().unwrap().to_string();
-        let fields = parts
-            .map(|kv| {
-                let (k, v) = kv.split_once('=').unwrap();
-                (k.to_string(), v.parse().unwrap())
-            })
-            .collect();
-        out.insert(name, fields);
-    }
-    out
-}
-
-/// TXT strings of a CHAOS metrics response.
-fn txt_lines(resp: &Message) -> Vec<String> {
-    resp.answers
-        .iter()
-        .filter_map(|r| match r.rdata() {
-            RData::Txt(s) => Some(s.clone()),
-            _ => None,
-        })
-        .collect()
-}
-
-/// A Prometheus counter sample value (`name value` line).
-fn prom_counter(body: &str, metric: &str) -> u64 {
-    body.lines()
-        .find_map(|l| l.strip_prefix(&format!("{metric} ")))
-        .unwrap_or_else(|| panic!("{metric} missing from exposition:\n{body}"))
-        .trim()
-        .parse()
-        .unwrap()
 }
 
 /// A two-daemon internet whose one data record carries a 2-second TTL,
@@ -282,7 +237,8 @@ fn stale_slow_path_agrees_with_wire_fast_lane_and_never_compiles() {
     let metrics = resolver.metrics();
     assert_eq!(metrics.stale_expired_unserved, 0, "{metrics}");
 
-    // The stale counters reach both exposition surfaces and reconcile.
+    // The stale counters reach both exposition surfaces and reconcile,
+    // like every other counter.
     let chaos = Question::with_class(
         CHAOS_METRICS_NAME.parse().unwrap(),
         RecordType::Txt,
@@ -290,21 +246,8 @@ fn stale_slow_path_agrees_with_wire_fast_lane_and_never_compiles() {
     );
     let resp = dns_netd::client::query_question(resolver.addr(), chaos, client_timeout()).unwrap();
     assert_eq!(resp.header.rcode, Rcode::NoError);
-    let snapshot = parse_snapshot(&txt_lines(&resp));
-    assert_eq!(
-        snapshot["resolver_stale_served"]["value"],
-        metrics.stale_served
-    );
-    assert_eq!(
-        snapshot["resolver_stale_expired_unserved"]["value"],
-        metrics.stale_expired_unserved
-    );
-    let body = resolver.prometheus();
-    dns_obs::validate_prometheus_text(&body).expect("valid exposition text");
-    assert_eq!(
-        prom_counter(&body, "resolver_stale_served"),
-        metrics.stale_served
-    );
+    let snapshot = common::parse_snapshot(&common::txt_lines(&resp));
+    common::assert_every_counter_exposed(&resolver, &snapshot);
     assert!(metrics.stale_served >= 2);
 
     resolver.stop();
@@ -433,39 +376,14 @@ fn loopback_water_torture_holds_neg_budget_and_reconciles_metrics() {
     );
     let responses = hub.drain_sent();
     assert_eq!(responses.len(), 1);
-    let snapshot = parse_snapshot(&txt_lines(&wire::decode(&responses[0].0).unwrap()));
+    let snapshot =
+        common::parse_snapshot(&common::txt_lines(&wire::decode(&responses[0].0).unwrap()));
 
     // Reconcile snapshot vs in-process counters vs Prometheus, counter
-    // by counter across the whole serve-stale surface plus the pressure
-    // counter the flood exercised.
+    // by counter: the serve-stale surface and the pressure counter the
+    // flood exercised included.
+    common::assert_every_counter_exposed(&resolver, &snapshot);
     let metrics = resolver.metrics();
-    let body = resolver.prometheus();
-    dns_obs::validate_prometheus_text(&body).expect("valid exposition text");
-    for (series, value) in [
-        (
-            "resolver_neg_evictions_pressure",
-            metrics.neg_evictions_pressure,
-        ),
-        ("resolver_stale_served", metrics.stale_served),
-        (
-            "resolver_stale_expired_unserved",
-            metrics.stale_expired_unserved,
-        ),
-        ("resolver_refresh_ahead", metrics.refresh_ahead),
-        ("resolver_prefetch_issued", metrics.prefetch_issued),
-        ("resolver_prefetch_hits", metrics.prefetch_hits),
-        ("resolver_prefetch_wasted", metrics.prefetch_wasted),
-    ] {
-        assert_eq!(
-            snapshot[series]["value"], value,
-            "CHAOS snapshot must reconcile for {series}"
-        );
-        assert_eq!(
-            prom_counter(&body, series),
-            value,
-            "Prometheus must reconcile for {series}"
-        );
-    }
     // No torture name ever re-queried inside the stale window, so the
     // stale machinery stayed silent: serve-stale adds no adversarial
     // surface to a water-torture flood.

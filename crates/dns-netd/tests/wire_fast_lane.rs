@@ -9,6 +9,8 @@ use dns_resolver::{CachingServer, ResolverConfig, RetryPolicy};
 use std::net::{SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
 
+mod common;
+
 fn client_timeout() -> Duration {
     Duration::from_secs(5)
 }
@@ -295,42 +297,19 @@ fn batched_loopback_path_serves_bursts_through_faults() {
     );
     let responses = hub.drain_sent();
     assert_eq!(responses.len(), 1);
-    let m = wire::decode(&responses[0].0).unwrap();
-    let lines: Vec<String> = m
-        .answers
-        .iter()
-        .filter_map(|r| match r.rdata() {
-            dns_core::RData::Txt(s) => Some(s.clone()),
-            _ => None,
-        })
-        .collect();
+    let snapshot =
+        common::parse_snapshot(&common::txt_lines(&wire::decode(&responses[0].0).unwrap()));
+    // Every counter reconciles, the wire byte gauge with the cache ledger.
+    common::assert_every_counter_exposed(&resolver, &snapshot);
     assert!(
-        lines.iter().any(|l| l.starts_with("daemon_wire_hits=")),
-        "snapshot must expose the wire trio: {lines:?}"
+        snapshot["daemon_wire_bytes"]["value"] > 0,
+        "hot entry occupies bytes"
     );
-    let wire_bytes: u64 = lines
-        .iter()
-        .find_map(|l| l.strip_prefix("daemon_wire_bytes="))
-        .expect("snapshot exposes the wire cache byte total")
-        .parse()
-        .unwrap();
-    assert_eq!(
-        wire_bytes,
-        resolver.wire_cache_bytes() as u64,
-        "byte gauge reconciles with the cache ledger"
-    );
-    assert!(wire_bytes > 0, "hot entry occupies bytes");
     // The lane split is visible: one fast-lane observation per wire hit.
-    let fast_count = lines
-        .iter()
-        .find(|l| l.starts_with("wall_latency_fast_ms "))
-        .expect("fast-lane histogram rendered")
-        .split_whitespace()
-        .find_map(|kv| kv.strip_prefix("count="))
-        .unwrap()
-        .parse::<u64>()
-        .unwrap();
-    assert_eq!(fast_count, resolver.stats().wire_hits);
+    assert_eq!(
+        snapshot["wall_latency_fast_ms"]["count"],
+        resolver.stats().wire_hits
+    );
 
     resolver.stop();
     net.stop();

@@ -14,8 +14,13 @@
 //!   [`CounterId`]/[`HistId`] handles, with Prometheus-text rendering
 //!   ([`Registry::render_prometheus`]) for scrapes and compact
 //!   `name=value` lines ([`Registry::render_compact`]) for `CHAOS TXT`
-//!   exposition, plus [`validate_prometheus_text`] to keep the output
-//!   format honest in tests and CI.
+//!   exposition, [`Registry::merge`] to fold per-worker registries by
+//!   name, plus [`validate_prometheus_text`] to keep the output format
+//!   honest in tests and CI.
+//! * [`counter_set!`] — declares a struct of plain `u64` counters once,
+//!   one `field: "help"` row per counter, generating its window
+//!   arithmetic and a [`CounterField`] iterator every exposition surface
+//!   walks.
 //! * [`QueryTrace`] — a bounded ring of typed [`TraceEvent`]s recording
 //!   one resolution end-to-end (cache probes, referral chase, retries,
 //!   backoff, outcome), rendered by [`QueryTrace::explain`].
@@ -28,10 +33,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod counters;
 mod hist;
 mod registry;
 mod trace;
 
+pub use counters::CounterField;
 pub use hist::LogHistogram;
 pub use registry::{validate_prometheus_text, CounterId, HistId, Registry};
 pub use trace::{QueryTrace, TraceEvent, TraceOutcome, DEFAULT_TRACE_CAPACITY};

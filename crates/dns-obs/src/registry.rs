@@ -130,6 +130,36 @@ impl Registry {
         &mut self.hists[id.0].hist
     }
 
+    /// Folds `other` into this registry by name: counters are summed
+    /// (saturating) and histograms merged. A metric this registry lacks
+    /// is registered with `other`'s help text, after the ones it already
+    /// has. Read path only — allocates.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a name is a counter in one registry and a histogram
+    /// in the other.
+    pub fn merge(&mut self, other: &Registry) {
+        for c in &other.counters {
+            match self.counters.iter_mut().find(|m| m.name == c.name) {
+                Some(m) => m.value = m.value.saturating_add(c.value),
+                None => {
+                    self.assert_fresh(c.name);
+                    self.counters.push(c.clone());
+                }
+            }
+        }
+        for h in &other.hists {
+            match self.hists.iter_mut().find(|m| m.name == h.name) {
+                Some(m) => m.hist.merge(&h.hist),
+                None => {
+                    self.assert_fresh(h.name);
+                    self.hists.push(h.clone());
+                }
+            }
+        }
+    }
+
     /// Renders the whole registry in Prometheus text exposition format:
     /// `# HELP` / `# TYPE` preamble per metric, cumulative `le` buckets
     /// at the non-empty bucket boundaries plus `+Inf`, `_sum` and
@@ -302,6 +332,40 @@ mod tests {
         assert!(validate_prometheus_text("x{le=\"1\"} 1\nx{le=\"2\"} 2\n").is_ok());
         assert!(validate_prometheus_text("x{le=\"1\"} 1\nx{le=\"1\"} 2\n").is_err());
         assert!(validate_prometheus_text("# just a comment\n\n").unwrap() == 0);
+    }
+
+    #[test]
+    fn merge_sums_counters_and_histograms_by_name() {
+        let mut a = Registry::new();
+        let hits = a.counter("hits", "Hits");
+        let lat = a.histogram("latency_ms", "Latency");
+        a.add(hits, 2);
+        a.observe(lat, 40);
+
+        let mut b = Registry::new();
+        let misses = b.counter("misses", "Misses");
+        let b_lat = b.histogram("latency_ms", "Latency");
+        let b_hits = b.counter("hits", "Hits");
+        b.add(b_hits, 3);
+        b.add(misses, 1);
+        b.observe(b_lat, 1000);
+
+        a.merge(&b);
+        assert_eq!(a.counter_value(hits), 5);
+        assert_eq!(a.hist(lat).count(), 2);
+        // Metrics only `b` had are appended after `a`'s own.
+        assert_eq!(a.render_compact()[..2], ["hits=5", "misses=1"]);
+        validate_prometheus_text(&a.render_prometheus()).expect("merged registry renders");
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate metric name")]
+    fn merge_rejects_kind_clash() {
+        let mut a = Registry::new();
+        a.counter("x", "counter");
+        let mut b = Registry::new();
+        b.histogram("x", "histogram");
+        a.merge(&b);
     }
 
     #[test]

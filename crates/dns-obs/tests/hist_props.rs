@@ -9,23 +9,35 @@
 //!    bounded by the bucket's 12.5% width).
 //! 2. merge is associative and commutative.
 //! 3. the record / quantile / merge / diff paths perform zero
-//!    allocations, enforced by a counting global allocator (the same
-//!    guard pattern as `dns-bench/benches/cache.rs`).
+//!    allocations, enforced by a counting global allocator that counts
+//!    per thread, so the proptests running beside a guard on other test
+//!    threads do not show up in its count.
 
 use dns_obs::LogHistogram;
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
-/// Delegates to the system allocator, counting every allocation so the
-/// zero-allocation property below can observe the record path.
+fn bump() {
+    // `try_with`: a thread being torn down may still allocate.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+/// Delegates to the system allocator, counting every allocation on the
+/// calling thread so the zero-allocation properties below can observe
+/// the record path.
 struct CountingAlloc;
 
+// SAFETY: every method delegates to `System` with the caller's arguments;
+// the counter is a const-initialised thread-local `Cell` without a
+// destructor, so updating it never allocates or re-enters the allocator.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        bump();
         unsafe { System.alloc(layout) }
     }
 
@@ -34,7 +46,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        bump();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -42,11 +54,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Allocations performed by `op`.
+/// Allocations the calling thread performs inside `op`.
 fn allocs_during(mut op: impl FnMut()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     op();
-    ALLOCS.load(Ordering::Relaxed) - before
+    ALLOCS.with(Cell::get) - before
 }
 
 /// Nearest-rank percentile over raw samples — the same rank rule as

@@ -262,39 +262,6 @@ impl ResolverConfig {
         ResolverConfigBuilder { config: self }
     }
 
-    /// Enables the §6 parent-recheck safeguard with the given bound.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use ResolverConfig::builder()/.to_builder() \
-                                          with .parent_recheck(..) instead"
-    )]
-    pub fn with_parent_recheck(mut self, every: SimDuration) -> Self {
-        self.parent_recheck = Some(every);
-        self
-    }
-
-    /// Installs a retry/backoff policy for upstream exchanges.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use ResolverConfig::builder()/.to_builder() \
-                                          with .retry(..) instead"
-    )]
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Sets the seed of the resolver's deterministic RNG.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use ResolverConfig::builder()/.to_builder() \
-                                          with .seed(..) instead"
-    )]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// TTL refresh only.
     pub fn with_refresh() -> Self {
         ResolverConfig {
@@ -547,19 +514,6 @@ mod tests {
         assert_eq!(c.seed, 7);
         // Shard counts floor at one.
         assert_eq!(ResolverConfig::builder().shards(0).build().shards, 1);
-    }
-
-    /// The deprecated setters keep working until removal.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_setters_still_apply() {
-        let c = ResolverConfig::vanilla()
-            .with_retry(RetryPolicy::standard())
-            .with_seed(99)
-            .with_parent_recheck(SimDuration::from_days(7));
-        assert_eq!(c.retry, RetryPolicy::standard());
-        assert_eq!(c.seed, 99);
-        assert_eq!(c.parent_recheck, Some(SimDuration::from_days(7)));
     }
 
     #[test]

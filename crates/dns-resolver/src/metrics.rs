@@ -2,74 +2,41 @@
 
 use dns_core::SimTime;
 use std::fmt;
-use std::ops::{Add, Sub};
 
-/// Monotone counters maintained by a [`crate::CachingServer`].
-///
-/// All fields are public passive data; the experiment harness snapshots the
-/// struct at attack-window boundaries and subtracts (`-` is implemented) to
-/// obtain per-window counts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ResolverMetrics {
-    /// Client (stub-resolver) queries received.
-    pub queries_in: u64,
-    /// Client queries that could not be resolved (SERVFAIL-equivalent).
-    pub failed_in: u64,
-    /// Client queries answered purely from cache.
-    pub cache_hits: u64,
-    /// Queries sent to authoritative servers (demand + renewal).
-    pub queries_out: u64,
-    /// Outgoing queries that received no response.
-    pub failed_out: u64,
-    /// Referral responses processed.
-    pub referrals: u64,
-    /// Times an infrastructure entry's TTL was refreshed from a response.
-    pub refreshes: u64,
-    /// Renewal re-fetches attempted.
-    pub renewals_sent: u64,
-    /// Renewal re-fetches that succeeded.
-    pub renewals_ok: u64,
-    /// Negative answers (NXDOMAIN / NODATA) returned to clients.
-    pub negative_answers: u64,
-    /// Retry rounds entered by the exchange loop (a retry re-walks the
-    /// whole server list after a backoff wait).
-    pub retries: u64,
-    /// Cumulative backoff requested between retry rounds, in
-    /// milliseconds (virtual for simulated upstreams, slept for real
-    /// ones).
-    pub backoff_wait_ms: u64,
-    /// Exchanges abandoned because the next backoff would exceed the
-    /// retry policy's per-exchange deadline budget.
-    pub deadline_exhausted: u64,
-    /// Responses discarded because they did not match the outstanding
-    /// query's (ID, question) pair — strays, spoofs or late answers.
-    pub mismatched_responses: u64,
-    /// NS-address fetches skipped because the per-client-query MaxFetch(k)
-    /// budget was exhausted (the query degrades to whatever resolved
-    /// within budget instead of fanning out further).
-    pub fetches_clamped: u64,
-    /// Work suppressed by flood defenses: negative-cache inserts refused
-    /// at a zero budget plus upstream walks refused by the per-zone
-    /// inflight cap.
-    pub flood_suppressed: u64,
-    /// Negative-cache entries evicted early because the negative cache hit
-    /// its byte/entry budget (pressure evictions, not TTL expiry).
-    pub neg_evictions_pressure: u64,
-    /// Client queries answered with an expired record inside the
-    /// serve-stale window after the demand fetch failed (RFC 8767).
-    pub stale_served: u64,
-    /// Failed queries whose expired record existed but had aged past the
-    /// serve-stale window, so it could not be served.
-    pub stale_expired_unserved: u64,
-    /// Proactive refreshes fired for hot entries that had consumed the
-    /// configured fraction of their TTL.
-    pub refresh_ahead: u64,
-    /// Prefetches issued by the learned inter-arrival predictor.
-    pub prefetch_issued: u64,
-    /// Prefetches whose name's next access was answered fresh from cache.
-    pub prefetch_hits: u64,
-    /// Prefetches whose name's next access still missed the cache.
-    pub prefetch_wasted: u64,
+dns_obs::counter_set! {
+    /// Monotone counters maintained by a [`crate::CachingServer`].
+    ///
+    /// All fields are public passive data; the experiment harness snapshots
+    /// the struct at attack-window boundaries and subtracts (`-` saturates
+    /// field by field) to obtain per-window counts. Each row below is the
+    /// counter's only declaration: the daemon's `CHAOS TXT` and Prometheus
+    /// series (`resolver_<field>`) and the run-manifest columns (`<field>`)
+    /// all iterate [`ResolverMetrics::fields`].
+    pub struct ResolverMetrics, prefix "resolver_" {
+        queries_in: "Client (stub-resolver) queries received",
+        failed_in: "Client queries that could not be resolved (SERVFAIL-equivalent)",
+        cache_hits: "Client queries answered purely from cache",
+        queries_out: "Queries sent to authoritative servers (demand plus renewal)",
+        failed_out: "Outgoing queries that got no usable response (lost or mismatched)",
+        referrals: "Referral responses processed",
+        refreshes: "Infrastructure-record TTLs refreshed from a response (the paper's TTL refresh)",
+        renewals_sent: "Renewal re-fetches attempted",
+        renewals_ok: "Renewal re-fetches that succeeded",
+        negative_answers: "Negative answers (NXDOMAIN or NODATA) returned to clients",
+        retries: "Retry rounds entered by the exchange loop, each re-walking the server list after a backoff",
+        backoff_wait_ms: "Backoff requested between retry rounds in milliseconds (slept by the daemon, virtual in the simulator)",
+        deadline_exhausted: "Exchanges abandoned because the next backoff would pass the retry deadline",
+        mismatched_responses: "Responses discarded for not matching the outstanding query's ID and question",
+        fetches_clamped: "NS-address fetches skipped by the per-query MaxFetch(k) budget",
+        flood_suppressed: "Negative-cache inserts refused at a zero budget plus upstream walks refused by the per-zone inflight cap",
+        neg_evictions_pressure: "Negative-cache entries evicted early under the entry or byte budget",
+        stale_served: "Expired answers served inside the serve-stale window after the demand fetch failed (RFC 8767)",
+        stale_expired_unserved: "Failed queries whose expired record had aged past the serve-stale window",
+        refresh_ahead: "Proactive refreshes of hot entries that had consumed the configured share of their TTL",
+        prefetch_issued: "Prefetches issued by the inter-arrival predictor",
+        prefetch_hits: "Prefetched names whose next query was answered fresh from cache",
+        prefetch_wasted: "Prefetched names whose next query still missed the cache",
+    }
 }
 
 impl ResolverMetrics {
@@ -94,90 +61,6 @@ fn ratio(num: u64, den: u64) -> f64 {
         0.0
     } else {
         num as f64 / den as f64
-    }
-}
-
-impl Sub for ResolverMetrics {
-    type Output = ResolverMetrics;
-
-    /// Pairwise saturating difference — `end - start` gives the counts
-    /// accumulated in a window.
-    fn sub(self, rhs: ResolverMetrics) -> ResolverMetrics {
-        ResolverMetrics {
-            queries_in: self.queries_in.saturating_sub(rhs.queries_in),
-            failed_in: self.failed_in.saturating_sub(rhs.failed_in),
-            cache_hits: self.cache_hits.saturating_sub(rhs.cache_hits),
-            queries_out: self.queries_out.saturating_sub(rhs.queries_out),
-            failed_out: self.failed_out.saturating_sub(rhs.failed_out),
-            referrals: self.referrals.saturating_sub(rhs.referrals),
-            refreshes: self.refreshes.saturating_sub(rhs.refreshes),
-            renewals_sent: self.renewals_sent.saturating_sub(rhs.renewals_sent),
-            renewals_ok: self.renewals_ok.saturating_sub(rhs.renewals_ok),
-            negative_answers: self.negative_answers.saturating_sub(rhs.negative_answers),
-            retries: self.retries.saturating_sub(rhs.retries),
-            backoff_wait_ms: self.backoff_wait_ms.saturating_sub(rhs.backoff_wait_ms),
-            deadline_exhausted: self
-                .deadline_exhausted
-                .saturating_sub(rhs.deadline_exhausted),
-            mismatched_responses: self
-                .mismatched_responses
-                .saturating_sub(rhs.mismatched_responses),
-            fetches_clamped: self.fetches_clamped.saturating_sub(rhs.fetches_clamped),
-            flood_suppressed: self.flood_suppressed.saturating_sub(rhs.flood_suppressed),
-            neg_evictions_pressure: self
-                .neg_evictions_pressure
-                .saturating_sub(rhs.neg_evictions_pressure),
-            stale_served: self.stale_served.saturating_sub(rhs.stale_served),
-            stale_expired_unserved: self
-                .stale_expired_unserved
-                .saturating_sub(rhs.stale_expired_unserved),
-            refresh_ahead: self.refresh_ahead.saturating_sub(rhs.refresh_ahead),
-            prefetch_issued: self.prefetch_issued.saturating_sub(rhs.prefetch_issued),
-            prefetch_hits: self.prefetch_hits.saturating_sub(rhs.prefetch_hits),
-            prefetch_wasted: self.prefetch_wasted.saturating_sub(rhs.prefetch_wasted),
-        }
-    }
-}
-
-impl Add for ResolverMetrics {
-    type Output = ResolverMetrics;
-
-    /// Pairwise saturating sum — aggregates the counters of several
-    /// workers sharing one cache backend into fleet-wide totals.
-    fn add(self, rhs: ResolverMetrics) -> ResolverMetrics {
-        ResolverMetrics {
-            queries_in: self.queries_in.saturating_add(rhs.queries_in),
-            failed_in: self.failed_in.saturating_add(rhs.failed_in),
-            cache_hits: self.cache_hits.saturating_add(rhs.cache_hits),
-            queries_out: self.queries_out.saturating_add(rhs.queries_out),
-            failed_out: self.failed_out.saturating_add(rhs.failed_out),
-            referrals: self.referrals.saturating_add(rhs.referrals),
-            refreshes: self.refreshes.saturating_add(rhs.refreshes),
-            renewals_sent: self.renewals_sent.saturating_add(rhs.renewals_sent),
-            renewals_ok: self.renewals_ok.saturating_add(rhs.renewals_ok),
-            negative_answers: self.negative_answers.saturating_add(rhs.negative_answers),
-            retries: self.retries.saturating_add(rhs.retries),
-            backoff_wait_ms: self.backoff_wait_ms.saturating_add(rhs.backoff_wait_ms),
-            deadline_exhausted: self
-                .deadline_exhausted
-                .saturating_add(rhs.deadline_exhausted),
-            mismatched_responses: self
-                .mismatched_responses
-                .saturating_add(rhs.mismatched_responses),
-            fetches_clamped: self.fetches_clamped.saturating_add(rhs.fetches_clamped),
-            flood_suppressed: self.flood_suppressed.saturating_add(rhs.flood_suppressed),
-            neg_evictions_pressure: self
-                .neg_evictions_pressure
-                .saturating_add(rhs.neg_evictions_pressure),
-            stale_served: self.stale_served.saturating_add(rhs.stale_served),
-            stale_expired_unserved: self
-                .stale_expired_unserved
-                .saturating_add(rhs.stale_expired_unserved),
-            refresh_ahead: self.refresh_ahead.saturating_add(rhs.refresh_ahead),
-            prefetch_issued: self.prefetch_issued.saturating_add(rhs.prefetch_issued),
-            prefetch_hits: self.prefetch_hits.saturating_add(rhs.prefetch_hits),
-            prefetch_wasted: self.prefetch_wasted.saturating_add(rhs.prefetch_wasted),
-        }
     }
 }
 

@@ -49,13 +49,10 @@ struct Shard {
 impl Shard {
     fn new() -> Self {
         let mut obs = Registry::new();
-        let hits = obs.counter("shard_record_hits", "fresh record-cache hits in this shard");
-        let misses = obs.counter("shard_record_misses", "record-cache misses in this shard");
-        let negative_hits = obs.counter(
-            "shard_negative_hits",
-            "fresh negative-cache hits in this shard",
-        );
-        let inserts = obs.counter("shard_record_inserts", "RRsets stored in this shard");
+        let hits = obs.counter("shard_record_hits", "fresh record-cache hits");
+        let misses = obs.counter("shard_record_misses", "record-cache misses");
+        let negative_hits = obs.counter("shard_negative_hits", "fresh negative-cache hits");
+        let inserts = obs.counter("shard_record_inserts", "RRsets stored");
         let occupancy = obs.histogram(
             "shard_fresh_rrsets",
             "fresh RRsets per shard at occupancy samples",
@@ -128,26 +125,8 @@ impl ShardedCache {
     /// plus the coalescing counters into one registry for scraping.
     pub fn merged_registry(&self) -> Registry {
         let mut merged = Registry::new();
-        let hits = merged.counter("shard_record_hits", "fresh record-cache hits across shards");
-        let misses = merged.counter("shard_record_misses", "record-cache misses across shards");
-        let negative_hits = merged.counter(
-            "shard_negative_hits",
-            "fresh negative-cache hits across shards",
-        );
-        let inserts = merged.counter("shard_record_inserts", "RRsets stored across shards");
-        let occupancy = merged.histogram(
-            "shard_fresh_rrsets",
-            "fresh RRsets per shard at occupancy samples",
-        );
         for shard in &self.inner.shards {
-            let shard = shard.lock().unwrap();
-            merged.add(hits, shard.obs.counter_value(shard.hits));
-            merged.add(misses, shard.obs.counter_value(shard.misses));
-            merged.add(negative_hits, shard.obs.counter_value(shard.negative_hits));
-            merged.add(inserts, shard.obs.counter_value(shard.inserts));
-            merged
-                .hist_mut(occupancy)
-                .merge(shard.obs.hist(shard.occupancy));
+            merged.merge(&shard.lock().unwrap().obs);
         }
         let led = merged.counter(
             "singleflight_leads",

@@ -156,22 +156,13 @@ pub struct AdversarialOutcome {
     pub attack_queries: u64,
     /// Upstream queries the baseline fork sent inside the window.
     pub base_upstream: u64,
-    /// Upstream queries the attacked fork sent inside the window.
-    pub attacked_upstream: u64,
     /// % of *legitimate* queries failing in the baseline window.
     pub base_legit_failed_pct: f64,
     /// % of *legitimate* queries failing in the attacked window
     /// (adversary queries and their failures subtracted out).
     pub legit_failed_pct: f64,
-    /// NS-address fetches clamped by MaxFetch(k) inside the window.
-    pub fetches_clamped: u64,
-    /// Queries refused by flood damping (inflight caps / refused
-    /// negative-cache storage) inside the window.
-    pub flood_suppressed: u64,
-    /// Negative-cache entries evicted under budget pressure inside the
-    /// window.
-    pub neg_evictions_pressure: u64,
-    /// Raw resolver counters accumulated inside the attacked window.
+    /// Raw resolver counters accumulated inside the attacked window
+    /// (upstream queries, defense and serve-stale counters included).
     pub window: ResolverMetrics,
 }
 
@@ -182,7 +173,7 @@ impl AdversarialOutcome {
         if self.attack_queries == 0 {
             return 0.0;
         }
-        self.attacked_upstream.saturating_sub(self.base_upstream) as f64
+        self.window.queries_out.saturating_sub(self.base_upstream) as f64
             / self.attack_queries as f64
     }
 

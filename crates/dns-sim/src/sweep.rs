@@ -41,7 +41,7 @@ use crate::experiment::{AdversarialOutcome, AttackOutcome, OverheadOutcome, Sche
 use crate::{AttackScenario, ServerFarm, Simulation};
 use dns_core::{SimDuration, SimTime, Ttl};
 use dns_obs::LogHistogram;
-use dns_resolver::GapSample;
+use dns_resolver::{GapSample, ResolverMetrics};
 use dns_stats::{manifest_table, ManifestRow, Table};
 use dns_trace::{Trace, TraceSpec, Universe, UniverseTargets};
 use std::collections::HashMap;
@@ -437,15 +437,7 @@ impl RunManifest {
                 lat_p50_ms: u.latency.p50(),
                 lat_p90_ms: u.latency.p90(),
                 lat_p99_ms: u.latency.p99(),
-                fetches_clamped: u.fetches_clamped,
-                flood_suppressed: u.flood_suppressed,
-                neg_evictions_pressure: u.neg_evictions_pressure,
-                stale_served: u.stale_served,
-                stale_expired_unserved: u.stale_expired_unserved,
-                refresh_ahead: u.refresh_ahead,
-                prefetch_issued: u.prefetch_issued,
-                prefetch_hits: u.prefetch_hits,
-                prefetch_wasted: u.prefetch_wasted,
+                counters: u.counters.fields().map(|f| (f.field, f.value)).collect(),
             })
             .collect()
     }
@@ -481,7 +473,7 @@ impl fmt::Display for RunManifest {
 pub struct UnitRecord {
     /// Position in spec order.
     pub unit: usize,
-    /// Unit kind: `attack`, `overhead` or `gaps`.
+    /// Unit kind: `attack`, `adversarial`, `overhead` or `gaps`.
     pub kind: &'static str,
     /// Trace label.
     pub trace: String,
@@ -515,27 +507,10 @@ pub struct UnitRecord {
     /// Distribution of total cached-record counts over the unit's
     /// occupancy samples.
     pub occupancy: LogHistogram,
-    /// NS-address fetches clamped by MaxFetch(k) across the unit's runs.
-    pub fetches_clamped: u64,
-    /// Queries refused by flood damping across the unit's runs.
-    pub flood_suppressed: u64,
-    /// Negative-cache evictions under budget pressure across the unit's
-    /// runs.
-    pub neg_evictions_pressure: u64,
-    /// Expired answers served from the stale window (RFC 8767) across
-    /// the unit's runs.
-    pub stale_served: u64,
-    /// Failed lookups whose only stale candidate had aged past the
-    /// serve-stale window.
-    pub stale_expired_unserved: u64,
-    /// Proactive refreshes issued ahead of expiry.
-    pub refresh_ahead: u64,
-    /// Predictive prefetches issued by the inter-arrival learner.
-    pub prefetch_issued: u64,
-    /// Prefetched names whose next query hit fresh cache.
-    pub prefetch_hits: u64,
-    /// Prefetched names whose next query still missed (wasted fetch).
-    pub prefetch_wasted: u64,
+    /// Resolver counters summed over the unit's measured windows: every
+    /// attack window, the baseline and attacked windows of an
+    /// adversarial unit, the whole replay of overhead and gap units.
+    pub counters: ResolverMetrics,
 }
 
 enum UnitKind {
@@ -609,7 +584,7 @@ struct UnitResult {
 }
 
 /// Counts every event class the resolver processed.
-fn event_count(m: &dns_resolver::ResolverMetrics) -> u64 {
+fn event_count(m: &ResolverMetrics) -> u64 {
     m.queries_in + m.queries_out + m.refreshes + m.renewals_sent
 }
 
@@ -643,29 +618,7 @@ fn run_unit(unit: &Unit, universe: &Universe, seed: u64, worker: usize) -> UnitR
     let mut gaps = None;
     let mut latency = LogHistogram::new();
     let mut occupancy_hist = LogHistogram::new();
-    // Defense- and stale-counter totals over the unit's measured runs
-    // (all zero when the scheme runs with defenses and serve-stale off —
-    // the default).
-    let mut fetches_clamped = 0u64;
-    let mut flood_suppressed = 0u64;
-    let mut neg_evictions_pressure = 0u64;
-    let mut stale_served = 0u64;
-    let mut stale_expired_unserved = 0u64;
-    let mut refresh_ahead = 0u64;
-    let mut prefetch_issued = 0u64;
-    let mut prefetch_hits = 0u64;
-    let mut prefetch_wasted = 0u64;
-    let mut count_defense = |m: &dns_resolver::ResolverMetrics| {
-        fetches_clamped += m.fetches_clamped;
-        flood_suppressed += m.flood_suppressed;
-        neg_evictions_pressure += m.neg_evictions_pressure;
-        stale_served += m.stale_served;
-        stale_expired_unserved += m.stale_expired_unserved;
-        refresh_ahead += m.refresh_ahead;
-        prefetch_issued += m.prefetch_issued;
-        prefetch_hits += m.prefetch_hits;
-        prefetch_wasted += m.prefetch_wasted;
-    };
+    let mut counters = ResolverMetrics::default();
     let (runs, queries, events, peak_records) = match &unit.kind {
         UnitKind::Attack { start, durations } => {
             let mut warm = make_sim(unit.scheme.sim_config());
@@ -697,7 +650,7 @@ fn run_unit(unit: &Unit, universe: &Universe, seed: u64, worker: usize) -> UnitR
                 let end = *start + duration;
                 sim.run_until(end);
                 let window = sim.metrics() - before;
-                count_defense(&window);
+                counters = counters + window;
                 // Latency samples accumulated inside this window: the
                 // forked histogram minus the shared warm-up prefix.
                 let window_latency = sim.cs().latency_histogram().diff(&warm_latency);
@@ -776,15 +729,14 @@ fn run_unit(unit: &Unit, universe: &Universe, seed: u64, worker: usize) -> UnitR
             attacked.run_until(end);
             let atk_window = attacked.metrics() - warm_metrics;
             let adv = attacked.adversary_stats();
-            count_defense(&base_window);
-            count_defense(&atk_window);
+            counters = counters + base_window + atk_window;
             let window_latency = attacked.cs().latency_histogram().diff(&warm_latency);
             latency.merge(&window_latency);
             let end_records = attacked.cs_mut().occupancy(end).total_records() as u64;
             occupancy_hist.record(end_records);
             peak = peak.max(end_records);
 
-            let legit_pct = |m: &dns_resolver::ResolverMetrics, sent: u64, failed: u64| {
+            let legit_pct = |m: &ResolverMetrics, sent: u64, failed: u64| {
                 let total = m.queries_in.saturating_sub(sent);
                 if total == 0 {
                     0.0
@@ -799,12 +751,8 @@ fn run_unit(unit: &Unit, universe: &Universe, seed: u64, worker: usize) -> UnitR
                 duration: *duration,
                 attack_queries: adv.sent,
                 base_upstream: base_window.queries_out,
-                attacked_upstream: atk_window.queries_out,
                 base_legit_failed_pct: legit_pct(&base_window, 0, 0),
                 legit_failed_pct: legit_pct(&atk_window, adv.sent, adv.failed),
-                fetches_clamped: atk_window.fetches_clamped,
-                flood_suppressed: atk_window.flood_suppressed,
-                neg_evictions_pressure: atk_window.neg_evictions_pressure,
                 window: atk_window,
             });
             let queries = warm_processed + base_window.queries_in + atk_window.queries_in;
@@ -816,7 +764,7 @@ fn run_unit(unit: &Unit, universe: &Universe, seed: u64, worker: usize) -> UnitR
             let mut sim = make_sim(unit.scheme.sim_config().occupancy_every(*sample_every));
             sim.run_to_end();
             let metrics = sim.metrics();
-            count_defense(&metrics);
+            counters = counters + metrics;
             let peak = sim
                 .occupancy()
                 .iter()
@@ -841,7 +789,7 @@ fn run_unit(unit: &Unit, universe: &Universe, seed: u64, worker: usize) -> UnitR
             let mut sim = make_sim(unit.scheme.sim_config());
             sim.run_to_end();
             let metrics = sim.metrics();
-            count_defense(&metrics);
+            counters = counters + metrics;
             let now = sim.now();
             let peak = sim.cs_mut().occupancy(now).total_records() as u64;
             occupancy_hist.record(peak);
@@ -875,15 +823,7 @@ fn run_unit(unit: &Unit, universe: &Universe, seed: u64, worker: usize) -> UnitR
             seed,
             latency,
             occupancy: occupancy_hist,
-            fetches_clamped,
-            flood_suppressed,
-            neg_evictions_pressure,
-            stale_served,
-            stale_expired_unserved,
-            refresh_ahead,
-            prefetch_issued,
-            prefetch_hits,
-            prefetch_wasted,
+            counters,
         },
     }
 }
@@ -987,6 +927,19 @@ mod tests {
             unit.events,
             m.queries_in + m.queries_out + m.refreshes + m.renewals_sent
         );
+        assert_eq!(unit.counters, m);
+        // Every resolver counter is a manifest column, under its field
+        // name, carrying the unit's value.
+        let table = out.manifest.table();
+        let row = &table.rows()[0];
+        for f in m.fields() {
+            let col = table
+                .headers()
+                .iter()
+                .position(|h| h == f.field)
+                .unwrap_or_else(|| panic!("manifest lacks a {} column", f.field));
+            assert_eq!(row[col], f.value.to_string(), "{}", f.field);
+        }
     }
 
     #[test]

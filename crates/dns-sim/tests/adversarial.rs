@@ -66,10 +66,10 @@ fn maxfetch_cuts_nxns_amplification_without_collateral_damage() {
             "{o}  [attack_q={} base_up={} atk_up={} clamped={} suppressed={} neg_evict={}]",
             o.attack_queries,
             o.base_upstream,
-            o.attacked_upstream,
-            o.fetches_clamped,
-            o.flood_suppressed,
-            o.neg_evictions_pressure
+            o.window.queries_out,
+            o.window.fetches_clamped,
+            o.window.flood_suppressed,
+            o.window.neg_evictions_pressure
         );
     }
     let nxns_open = &outcomes[0];
@@ -101,8 +101,14 @@ fn maxfetch_cuts_nxns_amplification_without_collateral_damage() {
         nxns_open.amplification(),
         nxns_def.amplification()
     );
-    assert!(nxns_def.fetches_clamped > 0, "MaxFetch never clamped");
-    assert_eq!(nxns_open.fetches_clamped, 0, "no clamping without defense");
+    assert!(
+        nxns_def.window.fetches_clamped > 0,
+        "MaxFetch never clamped"
+    );
+    assert_eq!(
+        nxns_open.window.fetches_clamped, 0,
+        "no clamping without defense"
+    );
 
     // Collateral damage: legitimate failures stay within 1pp of the
     // attack-free baseline fork, with or without the defense.
@@ -118,8 +124,8 @@ fn maxfetch_cuts_nxns_amplification_without_collateral_damage() {
 
     // Water torture pressures the bounded negative cache; the budget
     // forces pressure evictions only when the defense is on.
-    assert!(torture_def.neg_evictions_pressure > 0);
-    assert_eq!(torture_open.neg_evictions_pressure, 0);
+    assert!(torture_def.window.neg_evictions_pressure > 0);
+    assert_eq!(torture_open.window.neg_evictions_pressure, 0);
     // Torture amplification is ~1 (one NXDOMAIN walk per query) in both
     // schemes: the neg-cache budget defends memory, not upstream volume.
     assert!(torture_open.amplification() < 5.0);
@@ -137,7 +143,6 @@ fn adversarial_sweeps_are_thread_count_independent() {
         assert_eq!(a.adversary, b.adversary);
         assert_eq!(a.attack_queries, b.attack_queries);
         assert_eq!(a.base_upstream, b.base_upstream);
-        assert_eq!(a.attacked_upstream, b.attacked_upstream);
         assert_eq!(a.window, b.window, "{} / {}", a.scheme, a.adversary);
     }
 }
@@ -165,7 +170,6 @@ fn materialized_and_streamed_adversarial_units_agree() {
         assert_eq!(a.adversary, b.adversary);
         assert_eq!(a.attack_queries, b.attack_queries);
         assert_eq!(a.base_upstream, b.base_upstream);
-        assert_eq!(a.attacked_upstream, b.attacked_upstream);
         assert_eq!(a.window, b.window, "{}", a.adversary);
     }
 }

@@ -3,7 +3,6 @@
 //! Small, dependency-light building blocks used by every experiment binary:
 //!
 //! * [`Cdf`] — empirical cumulative distribution functions (Figure 3),
-//! * [`Histogram`] — fixed-bin counting,
 //! * [`Summary`] — running mean/min/max/percentiles,
 //! * [`Table`] — aligned plain-text and CSV table emission matching the
 //!   rows/series the paper reports,
@@ -24,14 +23,12 @@
 #![warn(missing_docs)]
 
 mod cdf;
-mod histogram;
 pub mod manifest;
 mod plot;
 mod summary;
 mod table;
 
 pub use cdf::Cdf;
-pub use histogram::Histogram;
 pub use manifest::{manifest_table, ManifestRow};
 pub use plot::{sparkline, AsciiChart};
 pub use summary::Summary;

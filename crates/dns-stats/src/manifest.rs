@@ -2,8 +2,9 @@
 //!
 //! The sweep engine in `dns-sim` records one row per run unit (wall
 //! clock, queries replayed, events processed, cache-occupancy peak,
-//! worker id, seed). This module turns those rows into a [`Table`] so
-//! every bench binary prints and exports the same manifest format.
+//! worker id, seed, latency percentiles and named counter columns). This
+//! module turns those rows into a [`Table`] so every bench binary prints
+//! and exports the same manifest format.
 
 use crate::table::Table;
 
@@ -12,7 +13,7 @@ use crate::table::Table;
 pub struct ManifestRow {
     /// Position in spec order (0-based).
     pub unit: usize,
-    /// Unit kind (`attack` or `overhead`).
+    /// Unit kind: `attack`, `adversarial`, `overhead` or `gaps`.
     pub kind: String,
     /// Trace label.
     pub trace: String,
@@ -42,29 +43,15 @@ pub struct ManifestRow {
     pub lat_p90_ms: u64,
     /// 99th-percentile modelled resolution latency, virtual ms.
     pub lat_p99_ms: u64,
-    /// NS-address fetches clamped by the MaxFetch(k) defense.
-    pub fetches_clamped: u64,
-    /// Queries refused by flood damping (inflight caps / refused
-    /// negative-cache storage).
-    pub flood_suppressed: u64,
-    /// Negative-cache evictions forced by budget pressure.
-    pub neg_evictions_pressure: u64,
-    /// Expired answers served inside the stale window (RFC 8767).
-    pub stale_served: u64,
-    /// Failed lookups whose stale candidate had aged past the window.
-    pub stale_expired_unserved: u64,
-    /// Proactive refreshes issued ahead of expiry.
-    pub refresh_ahead: u64,
-    /// Predictive prefetches issued by the inter-arrival learner.
-    pub prefetch_issued: u64,
-    /// Prefetched names whose next query hit fresh cache.
-    pub prefetch_hits: u64,
-    /// Prefetched names whose next query still missed.
-    pub prefetch_wasted: u64,
+    /// Counter columns after the fixed ones, as `(column, value)` in
+    /// order: every resolver counter summed over the unit's measured
+    /// windows, under its field name.
+    pub counters: Vec<(&'static str, u64)>,
 }
 
-/// Column headers of the manifest table, shared with its CSV form.
-pub const MANIFEST_HEADERS: [&str; 24] = [
+/// Headers of the fixed leading columns, shared with the CSV form; each
+/// row's [`ManifestRow::counters`] name the columns that follow.
+pub const MANIFEST_HEADERS: [&str; 15] = [
     "unit",
     "kind",
     "trace",
@@ -80,23 +67,31 @@ pub const MANIFEST_HEADERS: [&str; 24] = [
     "lat_p50_ms",
     "lat_p90_ms",
     "lat_p99_ms",
-    "fetches_clamped",
-    "flood_suppressed",
-    "neg_evict",
-    "stale_served",
-    "stale_unserved",
-    "refresh_ahead",
-    "prefetch_issued",
-    "prefetch_hits",
-    "prefetch_wasted",
 ];
 
 /// Builds the manifest summary table (also used for `run_manifest.csv`).
+///
+/// # Panics
+///
+/// Panics when rows disagree on their counter columns.
 pub fn manifest_table(rows: &[ManifestRow]) -> Table {
-    let mut table = Table::new(MANIFEST_HEADERS.to_vec());
+    let counter_columns: Vec<&str> = rows
+        .first()
+        .map(|r| r.counters.iter().map(|&(column, _)| column).collect())
+        .unwrap_or_default();
+    let mut headers = MANIFEST_HEADERS.to_vec();
+    headers.extend(&counter_columns);
+    let mut table = Table::new(headers);
     table.numeric();
     for r in rows {
-        table.row(vec![
+        assert!(
+            r.counters
+                .iter()
+                .map(|&(column, _)| column)
+                .eq(counter_columns.iter().copied()),
+            "manifest rows disagree on counter columns"
+        );
+        let mut cells = vec![
             r.unit.to_string(),
             r.kind.clone(),
             r.trace.clone(),
@@ -112,16 +107,9 @@ pub fn manifest_table(rows: &[ManifestRow]) -> Table {
             r.lat_p50_ms.to_string(),
             r.lat_p90_ms.to_string(),
             r.lat_p99_ms.to_string(),
-            r.fetches_clamped.to_string(),
-            r.flood_suppressed.to_string(),
-            r.neg_evictions_pressure.to_string(),
-            r.stale_served.to_string(),
-            r.stale_expired_unserved.to_string(),
-            r.refresh_ahead.to_string(),
-            r.prefetch_issued.to_string(),
-            r.prefetch_hits.to_string(),
-            r.prefetch_wasted.to_string(),
-        ]);
+        ];
+        cells.extend(r.counters.iter().map(|&(_, value)| value.to_string()));
+        table.row(cells);
     }
     table
 }
@@ -147,15 +135,7 @@ mod tests {
             lat_p50_ms: 40,
             lat_p90_ms: 1_087,
             lat_p99_ms: 2_047,
-            fetches_clamped: 12,
-            flood_suppressed: 3,
-            neg_evictions_pressure: 7,
-            stale_served: 5,
-            stale_expired_unserved: 2,
-            refresh_ahead: 9,
-            prefetch_issued: 4,
-            prefetch_hits: 3,
-            prefetch_wasted: 1,
+            counters: vec![("fetches_clamped", 12), ("stale_served", 5)],
         }
     }
 
@@ -163,9 +143,15 @@ mod tests {
     fn table_has_one_row_per_unit_plus_headers() {
         let t = manifest_table(&[row(0), row(1)]);
         assert_eq!(t.len(), 2);
-        assert_eq!(t.headers().len(), MANIFEST_HEADERS.len());
+        assert_eq!(t.headers().len(), MANIFEST_HEADERS.len() + 2);
         let csv = t.to_csv();
         assert!(csv.starts_with("unit,kind,trace,scheme"));
+        assert!(csv
+            .lines()
+            .next()
+            .unwrap()
+            .ends_with(",lat_p99_ms,fetches_clamped,stale_served"));
+        assert!(csv.lines().nth(1).unwrap().ends_with(",2047,12,5"));
         assert_eq!(csv.lines().count(), 3);
     }
 
@@ -174,5 +160,13 @@ mod tests {
         let rendered = manifest_table(&[row(0)]).render();
         assert!(rendered.contains("vanilla"));
         assert!(rendered.contains("1200"));
+    }
+
+    #[test]
+    #[should_panic(expected = "disagree on counter columns")]
+    fn mismatched_counter_columns_rejected() {
+        let mut other = row(1);
+        other.counters.reverse();
+        manifest_table(&[row(0), other]);
     }
 }
