@@ -135,11 +135,12 @@ smoke() {
     DNS_PLAYGROUND_LOSS=0.1 DNS_PLAYGROUND_SEED=7 \
         cargo run --release -p dns-netd --bin dns-playground --offline -- --trace
 
-    echo "== smoke: netd playground, sharded worker pool =="
-    # The same scripted tour resolved by 4 workers over one 4-shard
-    # cache with single-flight coalescing — the concurrent resolver
-    # core on real sockets.
-    cargo run --release -p dns-netd --bin dns-playground --offline -- --shards 4
+    echo "== smoke: netd playground, worker pool =="
+    # The same scripted tour resolved by 4 workers, each with its own
+    # resolver over one 4-shard cache with single-flight coalescing — the
+    # concurrent resolver core on real sockets. --trace fails the run if
+    # any resolved dig is explained by another query's trace.
+    cargo run --release -p dns-netd --bin dns-playground --offline -- --shards 4 --trace
 
     echo "== smoke: observability exposition =="
     # The live exposition integration test: worker pool on loopback,

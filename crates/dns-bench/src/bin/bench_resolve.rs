@@ -161,7 +161,7 @@ fn mt_replay(
     questions: &Arc<Vec<Question>>,
     threads: usize,
 ) -> (f64, f64) {
-    let backend = ShardedCache::new(8);
+    let backend = ShardedCache::with_shards(8);
     let total = questions.len();
     let now = SimTime::from_days(1);
     let (a0, _) = snapshot();

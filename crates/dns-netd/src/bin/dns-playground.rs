@@ -11,51 +11,50 @@
 //! # with injected loss (used by ci.sh as the netd smoke test):
 //! DNS_PLAYGROUND_LOSS=0.1 DNS_PLAYGROUND_SEED=7 \
 //!     cargo run --release -p dns-netd --bin dns-playground
-//! # sharded worker pool: 4 workers over one 4-shard cache with
-//! # single-flight coalescing (the concurrent resolver core, live):
-//! cargo run --release -p dns-netd --bin dns-playground -- --shards 4
+//! # worker pool: 4 workers over one 4-shard cache with single-flight
+//! # coalescing, every resolution explained (used by ci.sh):
+//! cargo run --release -p dns-netd --bin dns-playground -- --shards 4 --trace
 //! ```
 //!
-//! Exits non-zero when any of the scripted resolutions deviates from its
-//! expected outcome, so CI can gate on it.
+//! Without `--shards` one worker resolves over a one-shard cache with
+//! coalescing off. Exits non-zero when any of the scripted resolutions
+//! deviates from its expected outcome — or, with `--trace`, when the
+//! explanation of a resolved query names another query — so CI can gate
+//! on it.
 
-use dns_core::{Question, Rcode, RecordClass, RecordType};
+use dns_core::{Name, Question, Rcode, RecordClass, RecordType};
 use dns_netd::playground;
 use dns_netd::{client, FaultHandle, FaultInjector, Resolved, UdpUpstream, CHAOS_METRICS_NAME};
-use dns_resolver::{CacheBackend, CachingServer, ResolverConfig, RetryPolicy};
+use dns_resolver::{CachingServer, ResolverConfig, RetryPolicy};
 use std::time::Duration;
 
-fn env_f64(key: &str, default: f64) -> f64 {
+fn env_or<T: std::str::FromStr>(key: &str, default: T) -> T {
     std::env::var(key)
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
 }
 
-fn env_u64(key: &str, default: u64) -> u64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// `--shards N` from argv (0 = classic single-resolver mode).
-fn arg_shards() -> usize {
+/// `--shards N` from argv: N workers over N cache shards with
+/// coalescing; `None` without the flag.
+fn arg_shards() -> Option<usize> {
     let mut args = std::env::args();
     while let Some(a) = args.next() {
         if a == "--shards" {
-            return args
+            let n = args
                 .next()
                 .and_then(|v| v.parse().ok())
+                .filter(|&n: &usize| n > 0)
                 .expect("--shards takes a positive integer");
+            return Some(n);
         }
     }
-    0
+    None
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let loss = env_f64("DNS_PLAYGROUND_LOSS", 0.0);
-    let seed = env_u64("DNS_PLAYGROUND_SEED", 7);
+    let loss = env_or("DNS_PLAYGROUND_LOSS", 0.0);
+    let seed = env_or("DNS_PLAYGROUND_SEED", 7u64);
     let trace = std::env::args().any(|a| a == "--trace");
     let shards = arg_shards();
 
@@ -65,73 +64,57 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {d}");
     }
 
+    let workers = shards.unwrap_or(1);
     let config = ResolverConfig::with_refresh()
         .to_builder()
         .retry(RetryPolicy::standard())
         .seed(seed)
-        .shards(shards.max(1))
-        .coalesce(shards > 0)
+        .shards(workers)
+        .coalesce(shards.is_some())
         .build();
 
-    if shards > 0 {
-        // Sharded mode: one worker per shard, each with its own upstream
-        // transport and fault injector, all over one shared cache.
-        let mut upstreams = Vec::with_capacity(shards);
-        let mut handles = Vec::with_capacity(shards);
-        for w in 0..shards {
-            let udp = UdpUpstream::with_route(Duration::from_millis(300), net.route_fn())?;
-            let (upstream, faults) = FaultInjector::new(udp, seed + w as u64);
-            upstreams.push(upstream);
-            handles.push(faults);
-        }
-        if loss > 0.0 {
-            for h in &handles {
-                h.set_loss(loss);
-            }
-            println!("  injecting {:.0}% packet loss (seed {seed})", loss * 100.0);
-        }
-        let resolver =
-            Resolved::spawn_sharded(config, net.hints.clone(), upstreams, "127.0.0.1:0")?;
-        println!(
-            "  resolver on {} ({}; {} workers over {} cache shards, coalescing on)",
-            resolver.addr(),
-            config.retry,
-            resolver.worker_count(),
-            shards
-        );
-        let backend = resolver.sharded_backend();
-        let outcome = run_script(&net, &resolver, &handles, trace);
-        println!(
-            "singleflight: {} flights led, {} coalesced",
-            backend.flights_led(),
-            backend.flights_shared()
-        );
-        resolver.stop();
-        net.stop();
-        outcome
-    } else {
+    // One worker per shard, each with its own upstream transport and
+    // fault injector, all over one shared cache.
+    let mut upstreams = Vec::with_capacity(workers);
+    let mut handles = Vec::with_capacity(workers);
+    for w in 0..workers {
         let udp = UdpUpstream::with_route(Duration::from_millis(300), net.route_fn())?;
-        let (upstream, faults) = FaultInjector::new(udp, seed);
-        if loss > 0.0 {
-            faults.set_loss(loss);
-            println!("  injecting {:.0}% packet loss (seed {seed})", loss * 100.0);
-        }
-        let cs = CachingServer::new(config, net.hints.clone());
-        let resolver = Resolved::spawn(cs, upstream, "127.0.0.1:0")?;
-        println!("  resolver on {} ({})", resolver.addr(), config.retry);
-        let outcome = run_script(&net, &resolver, &[faults], trace);
-        resolver.stop();
-        net.stop();
-        outcome
+        let (upstream, faults) = FaultInjector::new(udp, seed + w as u64);
+        upstreams.push(upstream);
+        handles.push(faults);
     }
+    if loss > 0.0 {
+        for h in &handles {
+            h.set_loss(loss);
+        }
+        println!("  injecting {:.0}% packet loss (seed {seed})", loss * 100.0);
+    }
+    let cs = CachingServer::new(config, net.hints.clone());
+    let cache = cs.backend().clone();
+    let resolver = Resolved::spawn_pool(cs, upstreams, "127.0.0.1:0")?;
+    println!(
+        "  resolver on {} ({}; {} worker(s) over {} cache shard(s), coalescing {})",
+        resolver.addr(),
+        config.retry,
+        resolver.worker_count(),
+        cache.shard_count(),
+        if config.coalesce { "on" } else { "off" }
+    );
+    let outcome = run_script(&net, &resolver, &handles, trace);
+    println!(
+        "singleflight: {} flights led, {} coalesced",
+        cache.flights_led(),
+        cache.flights_shared()
+    );
+    resolver.stop();
+    net.stop();
+    outcome
 }
 
-/// The scripted resolution tour, generic over the resolver's cache
-/// backend: the same dig script runs against the classic single-server
-/// daemon and the sharded pool.
-fn run_script<B: CacheBackend + Send + 'static>(
+/// The scripted resolution tour.
+fn run_script(
     net: &playground::Playground,
-    resolver: &Resolved<B>,
+    resolver: &Resolved,
     faults: &[FaultHandle],
     trace: bool,
 ) -> Result<(), Box<dyn std::error::Error>> {
@@ -143,7 +126,8 @@ fn run_script<B: CacheBackend + Send + 'static>(
 
     let mut failures = 0u32;
     let mut dig = |qname: &str, rtype, expect: Rcode| {
-        let name = qname.parse().expect("valid name");
+        let name: Name = qname.parse().expect("valid name");
+        let wire_hits = resolver.stats().wire_hits;
         match client::query(resolver.addr(), &name, rtype, Duration::from_secs(5)) {
             Ok(resp) => {
                 println!("$ dig @{} {qname}", resolver.addr());
@@ -152,9 +136,14 @@ fn run_script<B: CacheBackend + Send + 'static>(
                     println!(";; UNEXPECTED: wanted {expect}");
                     failures += 1;
                 }
-                if trace {
-                    if let Some(explain) = resolver.explain_last() {
-                        print!("{explain}");
+                // A query the resolver answered (not the wire fast lane)
+                // must be the one the pool's last trace explains.
+                if trace && resolver.stats().wire_hits == wire_hits {
+                    let explain = resolver.explain_last().unwrap_or_default();
+                    print!("{explain}");
+                    if !explain.contains(&format!("query {name} {rtype}")) {
+                        println!(";; UNEXPECTED: the last trace does not explain this query");
+                        failures += 1;
                     }
                 }
             }
@@ -236,11 +225,7 @@ fn run_script<B: CacheBackend + Send + 'static>(
     println!("resolver metrics: {}", resolver.metrics());
     println!("daemon stats: {}", resolver.stats());
     for (i, h) in faults.iter().enumerate() {
-        if faults.len() == 1 {
-            println!("fault stats: {}", h.stats());
-        } else {
-            println!("fault stats[w{i}]: {}", h.stats());
-        }
+        println!("fault stats[w{i}]: {}", h.stats());
     }
 
     if wire_lane_missed {

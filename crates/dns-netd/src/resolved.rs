@@ -1,22 +1,24 @@
-//! The recursive resolver daemon: a [`CachingServer`] behind a UDP
-//! socket, resolving through real upstream sockets in wall-clock time.
+//! The recursive resolver daemon: a pool of [`CachingServer`]s over one
+//! shared cache behind a UDP socket, resolving through real upstream
+//! sockets in wall-clock time.
 //!
-//! Since PR 7 the datagram path is *batched* and has a *fast lane*:
-//! workers move packets through the [`PacketIo`] trait in batches of up
-//! to [`crate::MAX_BATCH`], and a shared [`WireCache`] of pre-serialized
+//! The datagram path is *batched* and has a *fast lane*: workers move
+//! packets through the [`PacketIo`] trait in batches of up to
+//! [`crate::MAX_BATCH`], and a shared [`WireCache`] of pre-serialized
 //! responses answers repeat queries by patching the cached bytes in
 //! place (ID, RD bit, question casing, decremented TTLs) — no message
-//! decode, no resolver lock, no allocation.
+//! decode, no resolver, no allocation.
+//!
+//! Each worker owns its resolver and copies what the pool shows of it
+//! (counters, latency registry, last trace) out after every resolution,
+//! so no thread ever locks a resolver another worker is driving.
 
 use crate::packetio::{Packet, PacketBatch, PacketIo, UdpPacketIo};
 use crate::wall_clock;
 use crate::wirecache::{self, WireCache};
 use dns_core::{wire, Message, RData, Rcode, Record, RecordClass, RecordType, SimTime, Ttl};
-use dns_obs::{HistId, Registry};
-use dns_resolver::{
-    CacheBackend, CachingServer, LocalBackend, Outcome, ResolverConfig, ResolverMetrics, RootHints,
-    ShardedCache, Upstream,
-};
+use dns_obs::{HistId, QueryTrace, Registry};
+use dns_resolver::{CachingServer, Outcome, ResolverMetrics, ShardedCache, Upstream};
 use std::fmt;
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
@@ -78,11 +80,11 @@ impl Health {
 }
 
 /// Daemon-side observability shared by the worker pool: wall-clock
-/// latency split by lane (the resolver's own histogram models *virtual*
-/// latency; these measure real elapsed time including lock contention).
-/// The split makes the wire cache's latency win directly visible:
-/// fast-lane hits never decode, resolve or allocate, so their histogram
-/// sits at the clock floor while the slow path carries the real cost.
+/// latency in nanoseconds, split by lane (the resolver's own histogram
+/// models *virtual* latency; these measure real elapsed time). The split
+/// makes the wire cache's latency win directly visible: fast-lane hits
+/// never decode, resolve or allocate, so their histogram sits around a
+/// hundred nanoseconds while the slow path carries the real cost.
 #[derive(Debug)]
 struct DaemonObs {
     registry: Registry,
@@ -94,12 +96,12 @@ impl DaemonObs {
     fn new() -> Self {
         let mut registry = Registry::new();
         let wall_fast = registry.histogram(
-            "wall_latency_fast_ms",
-            "Wall-clock latency per wire fast-lane hit in milliseconds",
+            "wall_latency_fast_ns",
+            "Wall-clock latency per wire fast-lane hit in nanoseconds",
         );
         let wall_slow = registry.histogram(
-            "wall_latency_slow_ms",
-            "Wall-clock latency per slow-path resolution in milliseconds",
+            "wall_latency_slow_ns",
+            "Wall-clock latency per slow-path resolution in nanoseconds",
         );
         DaemonObs {
             registry,
@@ -108,13 +110,18 @@ impl DaemonObs {
         }
     }
 
-    fn observe_fast(&mut self, ms: u64) {
-        self.registry.observe(self.wall_fast, ms);
+    fn observe_fast(&mut self, ns: u64) {
+        self.registry.observe(self.wall_fast, ns);
     }
 
-    fn observe_slow(&mut self, ms: u64) {
-        self.registry.observe(self.wall_slow, ms);
+    fn observe_slow(&mut self, ns: u64) {
+        self.registry.observe(self.wall_slow, ns);
     }
+}
+
+/// Nanoseconds since `start`, saturating.
+fn elapsed_ns(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// The wire fast lane, shared by every worker: the pre-serialized
@@ -138,23 +145,55 @@ impl Default for WireLane {
     }
 }
 
+/// What one worker's resolver shows the rest of the pool, copied out by
+/// that worker after each resolution.
+#[derive(Debug)]
+struct Panel {
+    metrics: ResolverMetrics,
+    /// The resolver's own registry (the modelled latency histogram).
+    obs: Registry,
+}
+
+impl Panel {
+    fn of(cs: &CachingServer) -> Panel {
+        Panel {
+            metrics: *cs.metrics(),
+            obs: cs.obs().registry().clone(),
+        }
+    }
+
+    /// Refreshes the panel from `cs`; allocation-free.
+    fn publish(&mut self, cs: &CachingServer) {
+        self.metrics = *cs.metrics();
+        self.obs.clone_from(cs.obs().registry());
+    }
+}
+
 /// Everything a worker thread shares with its pool and the daemon handle.
 #[derive(Debug)]
-struct Shared<B: CacheBackend> {
+struct Shared {
     stop: AtomicBool,
     served: AtomicU64,
     send_errors: AtomicU64,
     truncated: AtomicU64,
     health: Health,
-    /// The pool's resolvers: a single shared entry in default mode, one
-    /// per worker in sharded mode (worker `i` resolves through
-    /// `servers[i % len]`).
-    servers: Vec<Arc<Mutex<CachingServer<B>>>>,
+    /// One panel per worker, in worker order.
+    panels: Vec<Mutex<Panel>>,
+    /// The pool's cache: its shard and coalescing registry joins the
+    /// metric snapshot.
+    cache: ShardedCache,
+    /// Set by [`Resolved::enable_trace`]; each worker turns tracing on in
+    /// its resolver before its next resolution (a bare flag: it
+    /// publishes no other data, so `Relaxed` suffices).
+    trace_on: AtomicBool,
+    /// The trace of the pool's most recent traced resolution, whichever
+    /// worker ran it.
+    last_trace: Mutex<Option<QueryTrace>>,
     obs: Mutex<DaemonObs>,
     lane: WireLane,
 }
 
-impl<B: CacheBackend> Shared<B> {
+impl Shared {
     fn stats(&self) -> DaemonStats {
         DaemonStats {
             served: self.served.load(Ordering::Relaxed),
@@ -171,32 +210,28 @@ impl<B: CacheBackend> Shared<B> {
 /// A running recursive resolver daemon.
 ///
 /// Clients send standard DNS queries; the daemon resolves them through
-/// its [`CachingServer`] (all resilience schemes apply — the cache is the
+/// its [`CachingServer`]s (all resilience schemes apply — the cache is the
 /// same code the simulator evaluates) and answers with the outcome:
 /// answers as-is, NXDOMAIN/NODATA as negative responses, and resolution
 /// failure as SERVFAIL.
 ///
 /// The daemon runs a small worker pool ([`Resolved::spawn_pool`]): every
 /// worker drains the shared UDP socket in batches through [`PacketIo`]
-/// (the kernel delivers each datagram to exactly one worker) and owns its
-/// own upstream transport, so decoding, encoding and socket I/O overlap
-/// across workers. Repeat queries for hot names are answered from a
-/// shared [`WireCache`] of compiled responses without touching the
-/// resolver at all; everything else takes the slow path. In the default
-/// mode one [`CachingServer`] sits behind one mutex and workers serialize
-/// whole resolutions through it; in sharded mode
-/// ([`Resolved::spawn_sharded`]) every worker owns its *own* resolver
-/// over one shared [`ShardedCache`], so resolutions proceed concurrently
-/// and contend only per cache shard, with single-flight coalescing
-/// deduplicating identical in-flight fetches across the pool. A worker
-/// that hits a fatal socket error records it ([`Resolved::last_error`])
-/// and drops out, flipping [`Resolved::healthy`] — the daemon degrades
-/// visibly instead of dying silently.
+/// (the kernel delivers each datagram to exactly one worker), owns its
+/// own upstream transport and its own resolver over the pool's shared
+/// cache, so resolutions proceed concurrently and contend only per cache
+/// shard; with [`dns_resolver::ResolverConfig::coalesce`] on, identical
+/// in-flight fetches are deduplicated across the pool. Repeat queries for
+/// hot names are answered from a shared [`WireCache`] of compiled
+/// responses without touching a resolver at all. A worker that hits a
+/// fatal socket error records it ([`Resolved::last_error`]) and drops
+/// out, flipping [`Resolved::healthy`] — the daemon degrades visibly
+/// instead of dying silently.
 #[derive(Debug)]
-pub struct Resolved<B: CacheBackend = LocalBackend> {
+pub struct Resolved {
     addr: SocketAddr,
     workers: Vec<JoinHandle<()>>,
-    shared: Arc<Shared<B>>,
+    shared: Arc<Shared>,
 }
 
 impl Resolved {
@@ -219,7 +254,10 @@ impl Resolved {
 
     /// Binds `bind` and starts one worker per upstream in `upstreams`
     /// (each worker owns its transport; the caller decides the pool
-    /// size). All workers share `cs` behind one lock.
+    /// size). Worker 0 resolves through `cs`, worker `i` through
+    /// [`CachingServer::sibling`] over `cs`'s cache with seed
+    /// `cs.config().seed + i`, so query-ID streams stay per-worker
+    /// deterministic yet distinct.
     ///
     /// # Errors
     ///
@@ -230,59 +268,6 @@ impl Resolved {
         upstreams: Vec<U>,
         bind: impl ToSocketAddrs,
     ) -> io::Result<Resolved>
-    where
-        U: Upstream + Send + 'static,
-    {
-        Resolved::spawn_servers(vec![cs], upstreams, bind)
-    }
-}
-
-impl Resolved<ShardedCache> {
-    /// Binds `bind` and starts one worker per upstream, every worker
-    /// owning its own [`CachingServer`] over one shared [`ShardedCache`]
-    /// built from `config` (`config.shards` shards, coalescing per
-    /// `config.coalesce`). Worker seeds are derived from `config.seed`
-    /// (`seed + worker index`) so query-ID streams stay per-worker
-    /// deterministic yet distinct.
-    ///
-    /// # Errors
-    ///
-    /// Returns socket-level errors from binding/cloning, and
-    /// `InvalidInput` when `upstreams` is empty.
-    pub fn spawn_sharded<U>(
-        config: ResolverConfig,
-        hints: RootHints,
-        upstreams: Vec<U>,
-        bind: impl ToSocketAddrs,
-    ) -> io::Result<Resolved<ShardedCache>>
-    where
-        U: Upstream + Send + 'static,
-    {
-        let backend = ShardedCache::new(config.shards);
-        let servers = (0..upstreams.len().max(1))
-            .map(|i| {
-                let config = config.to_builder().seed(config.seed + i as u64).build();
-                CachingServer::with_backend(config, hints.clone(), backend.clone())
-            })
-            .collect();
-        Resolved::spawn_servers(servers, upstreams, bind)
-    }
-
-    /// The shared sharded backend (coalescing counters, shard registry).
-    pub fn sharded_backend(&self) -> ShardedCache {
-        self.shared.servers[0].lock().unwrap().backend().clone()
-    }
-}
-
-impl<B: CacheBackend + Send + 'static> Resolved<B> {
-    /// The common pool bring-up: `servers` is either a single resolver
-    /// shared by every worker (default mode) or one per upstream
-    /// (sharded mode).
-    fn spawn_servers<U>(
-        servers: Vec<CachingServer<B>>,
-        upstreams: Vec<U>,
-        bind: impl ToSocketAddrs,
-    ) -> io::Result<Resolved<B>>
     where
         U: Upstream + Send + 'static,
     {
@@ -298,46 +283,54 @@ impl<B: CacheBackend + Send + 'static> Resolved<B> {
         let ios = (0..upstreams.len())
             .map(|_| socket.try_clone().map(UdpPacketIo::new))
             .collect::<io::Result<Vec<_>>>()?;
-        Self::spawn_with_io(servers, upstreams, ios, addr)
+        let seed = cs.config().seed;
+        let siblings: Vec<CachingServer> = (1..upstreams.len())
+            .map(|i| cs.sibling(seed.wrapping_add(i as u64)))
+            .collect();
+        let servers = std::iter::once(cs).chain(siblings).collect();
+        Ok(Resolved::start(servers, upstreams, ios, addr))
     }
 
     /// Starts the pool over caller-supplied packet transports instead of
     /// a bound UDP socket — the sim/loopback mode: drive the daemon's
     /// *exact* batched worker loop through [`crate::LoopbackHub`] (or any
     /// other [`PacketIo`]) without opening sockets, e.g. under a
-    /// [`crate::FaultInjector`]ed upstream. One worker is started per
-    /// `(upstream, io)` pair; [`Resolved::addr`] reports a placeholder.
+    /// [`crate::FaultInjector`]ed upstream. Worker `i` runs `servers[i]`
+    /// over `upstreams[i]` and `ios[i]`; the servers normally share one
+    /// cache (a server and its [`CachingServer::sibling`]s), whose
+    /// registry the metric snapshot takes from `servers[0]`.
+    /// [`Resolved::addr`] reports a placeholder.
     ///
     /// # Errors
     ///
-    /// `InvalidInput` when `upstreams` is empty or the three vectors
-    /// disagree on pool size (`servers` may also be a single entry shared
-    /// by every worker).
+    /// `InvalidInput` unless the three vectors are non-empty and of one
+    /// length.
     pub fn spawn_io<U, P>(
-        servers: Vec<CachingServer<B>>,
+        servers: Vec<CachingServer>,
         upstreams: Vec<U>,
         ios: Vec<P>,
-    ) -> io::Result<Resolved<B>>
+    ) -> io::Result<Resolved>
     where
         U: Upstream + Send + 'static,
         P: PacketIo + 'static,
     {
-        if upstreams.is_empty() || upstreams.len() != ios.len() || servers.is_empty() {
+        if servers.is_empty() || servers.len() != upstreams.len() || servers.len() != ios.len() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
-                "spawn_io needs matching non-empty upstream/io pools and at least one server",
+                "spawn_io needs one server, one upstream and one io per worker",
             ));
         }
         let addr: SocketAddr = "127.0.0.1:0".parse().expect("static addr");
-        Self::spawn_with_io(servers, upstreams, ios, addr)
+        Ok(Resolved::start(servers, upstreams, ios, addr))
     }
 
-    fn spawn_with_io<U, P>(
-        servers: Vec<CachingServer<B>>,
+    /// Starts one worker per `(server, upstream, io)` triple.
+    fn start<U, P>(
+        servers: Vec<CachingServer>,
         upstreams: Vec<U>,
         ios: Vec<P>,
         addr: SocketAddr,
-    ) -> io::Result<Resolved<B>>
+    ) -> Resolved
     where
         U: Upstream + Send + 'static,
         P: PacketIo + 'static,
@@ -348,228 +341,39 @@ impl<B: CacheBackend + Send + 'static> Resolved<B> {
             send_errors: AtomicU64::new(0),
             truncated: AtomicU64::new(0),
             health: Health::default(),
-            servers: servers
-                .into_iter()
-                .map(|cs| Arc::new(Mutex::new(cs)))
-                .collect(),
+            panels: servers.iter().map(|cs| Mutex::new(Panel::of(cs))).collect(),
+            cache: servers[0].backend().clone(),
+            trace_on: AtomicBool::new(false),
+            last_trace: Mutex::new(None),
             obs: Mutex::new(DaemonObs::new()),
             lane: WireLane::default(),
         });
-
-        let mut workers = Vec::with_capacity(upstreams.len());
-        for (i, (upstream, io)) in upstreams.into_iter().zip(ios).enumerate() {
-            let shared = Arc::clone(&shared);
-            let handle = std::thread::Builder::new()
-                .name(format!("resolved-{addr}-w{i}"))
-                .spawn(move || Self::worker_loop(io, upstream, &shared, i))
-                .expect("spawn resolved worker");
-            workers.push(handle);
-        }
-        Ok(Resolved {
+        let workers = servers
+            .into_iter()
+            .zip(upstreams)
+            .zip(ios)
+            .enumerate()
+            .map(|(index, ((cs, upstream), io))| {
+                let worker = Worker {
+                    index,
+                    cs,
+                    upstream,
+                    shared: Arc::clone(&shared),
+                    key: Vec::with_capacity(dns_core::MAX_NAME_LEN),
+                };
+                std::thread::Builder::new()
+                    .name(format!("resolved-{addr}-w{index}"))
+                    .spawn(move || worker.run(io))
+                    .expect("spawn resolved worker")
+            })
+            .collect();
+        Resolved {
             addr,
             workers,
             shared,
-        })
-    }
-
-    /// One worker: drain a batch, serve every packet (fast lane first,
-    /// slow path otherwise), send the whole batch back.
-    fn worker_loop<U: Upstream, P: PacketIo>(
-        mut io: P,
-        mut upstream: U,
-        shared: &Shared<B>,
-        index: usize,
-    ) {
-        let mut rx = PacketBatch::new();
-        let mut tx = PacketBatch::new();
-        let mut key = Vec::with_capacity(dns_core::MAX_NAME_LEN);
-        while !shared.stop.load(Ordering::Relaxed) {
-            let n = match io.recv_batch(&mut rx) {
-                Ok(0) => continue, // timeout tick: re-check the stop flag
-                Ok(n) => n,
-                Err(e) => {
-                    // Fatal receive error: surface it and retire this
-                    // worker instead of dying without a trace.
-                    shared.health.record("recv", &e);
-                    break;
-                }
-            };
-            tx.clear();
-            let now = wall_clock();
-            for i in 0..n {
-                Self::serve_packet(
-                    shared,
-                    index,
-                    &mut upstream,
-                    now,
-                    rx.get(i),
-                    &mut key,
-                    &mut tx,
-                );
-            }
-            if tx.is_empty() {
-                continue;
-            }
-            // Count `served` only for replies the transport accepted.
-            match io.send_batch(&tx) {
-                Ok(sent) => {
-                    shared.served.fetch_add(sent as u64, Ordering::Relaxed);
-                    shared
-                        .send_errors
-                        .fetch_add((tx.len() - sent) as u64, Ordering::Relaxed);
-                }
-                Err(e) => {
-                    shared.health.record("send", &e);
-                    break;
-                }
-            }
         }
     }
 
-    /// Serves one datagram into `tx` (or drops it: undecodable queries
-    /// and unencodable replies get no response, as before).
-    fn serve_packet<U: Upstream>(
-        shared: &Shared<B>,
-        index: usize,
-        upstream: &mut U,
-        now: SimTime,
-        packet: &Packet,
-        key: &mut Vec<u8>,
-        tx: &mut PacketBatch,
-    ) {
-        let raw = packet.bytes();
-        let peer = packet.peer();
-
-        // Fast lane: a plain IN query answered straight from compiled
-        // bytes — no decode, no resolver, no allocation.
-        match wirecache::fast_query(raw) {
-            Some(fq) if fq.class == RecordClass::In.code() => {
-                let start = Instant::now();
-                wirecache::lowercase_key(fq.raw_name, key);
-                let mut cache = shared.lane.cache.lock().unwrap();
-                let hit = tx.push_with(peer, |buf| cache.serve(key, fq.rtype, raw, now, buf));
-                drop(cache);
-                if hit {
-                    let ms = u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX);
-                    shared.obs.lock().unwrap().observe_fast(ms);
-                    shared.lane.hits.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-                shared.lane.misses.fetch_add(1, Ordering::Relaxed);
-            }
-            _ => {
-                shared.lane.bypass.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-
-        // Slow path: full decode → resolve → encode.
-        let Ok(query) = wire::decode(raw) else {
-            return;
-        };
-        let (response, expiry) = Self::answer(shared, index, upstream, &query, now);
-        let Some((mut bytes, offsets, was_truncated)) =
-            encode_or_truncate(&query, &response, &shared.truncated)
-        else {
-            return; // not even the header+question fits — drop
-        };
-        // Compile cacheable answers into the wire cache *before* the
-        // casing patch, so the stored bytes stay canonical (lowercase):
-        // positive IN answers whose record-cache expiry is known.
-        if !was_truncated && response.header.rcode == Rcode::NoError && !response.answers.is_empty()
-        {
-            if let (Some(exp), Some(q)) = (expiry, query.question()) {
-                if q.class == RecordClass::In && now < exp {
-                    shared
-                        .lane
-                        .cache
-                        .lock()
-                        .unwrap()
-                        .insert(&q.name, q.rtype, &bytes, &offsets, now, exp);
-                }
-            }
-        }
-        // Echo the client's exact question spelling (0x20 randomization):
-        // decoding lowercased the name, so patch it back from the raw
-        // datagram. Also covers TC-bit fallback replies.
-        wire::patch_question_case(&mut bytes, raw);
-        tx.push_copy(&bytes, peer);
-    }
-
-    fn answer<U: Upstream>(
-        shared: &Shared<B>,
-        index: usize,
-        upstream: &mut U,
-        query: &Message,
-        now: SimTime,
-    ) -> (Message, Option<SimTime>) {
-        let mut resp = Message::response_to(query);
-        resp.header.recursion_available = true;
-        let Some(question) = query.question().cloned() else {
-            resp.header.rcode = Rcode::FormErr;
-            return (resp, None);
-        };
-        if question.class == RecordClass::Ch {
-            return (Self::answer_chaos(shared, resp, &question), None);
-        }
-        let start = Instant::now();
-        let (outcome, expiry) = {
-            let cs = &shared.servers[index % shared.servers.len()];
-            let mut cs = cs.lock().unwrap();
-            let outcome = cs.resolve(&question, now, upstream);
-            // While still holding the resolver: the record-cache expiry
-            // bounding this answer, which caps the wire-cache entry.
-            // `answer_expiry` reports *fresh* records only, so a
-            // stale-served answer (RFC 8767 serve-stale window) yields
-            // `None` and is never compiled into the wire cache — its
-            // TTLs are clamped by the stale path and must not be
-            // replayed verbatim by the fast lane.
-            let expiry = match &outcome {
-                Outcome::Answer { .. } => cs.answer_expiry(&question, now),
-                _ => None,
-            };
-            (outcome, expiry)
-        };
-        let wall_ms = u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX);
-        shared.obs.lock().unwrap().observe_slow(wall_ms);
-        match outcome {
-            Outcome::Answer { records, .. } => {
-                resp.answers = records;
-            }
-            Outcome::NxDomain { .. } => resp.header.rcode = Rcode::NxDomain,
-            Outcome::NoData { .. } => {}
-            Outcome::Fail => resp.header.rcode = Rcode::ServFail,
-        }
-        (resp, expiry)
-    }
-
-    /// Answers `CHAOS`-class queries: `TXT metrics.bind.` dumps the
-    /// daemon's metrics snapshot (one TXT string per metric line, the
-    /// `version.bind.` convention); everything else is REFUSED. The
-    /// snapshot is [`metrics_registry`]'s, as for
-    /// [`Resolved::prometheus`].
-    fn answer_chaos(
-        shared: &Shared<B>,
-        mut resp: Message,
-        question: &dns_core::Question,
-    ) -> Message {
-        let metrics_name: dns_core::Name = CHAOS_METRICS_NAME.parse().expect("static name");
-        if question.rtype != RecordType::Txt || question.name != metrics_name {
-            resp.header.rcode = Rcode::Refused;
-            return resp;
-        }
-        for line in metrics_registry(shared).render_compact() {
-            resp.answers.push(Record::with_class(
-                question.name.clone(),
-                RecordClass::Ch,
-                Ttl::ZERO,
-                RData::Txt(line),
-            ));
-        }
-        resp
-    }
-}
-
-impl<B: CacheBackend> Resolved<B> {
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
         self.addr
@@ -606,47 +410,39 @@ impl<B: CacheBackend> Resolved<B> {
         self.shared.lane.cache.lock().unwrap().len()
     }
 
-    /// Snapshot of the resolver's counters, summed over every resolver
-    /// in the pool (a single resolver in default mode).
-    pub fn metrics(&self) -> dns_resolver::ResolverMetrics {
+    /// Snapshot of the resolver counters, summed over every worker's
+    /// resolver.
+    pub fn metrics(&self) -> ResolverMetrics {
         self.shared
-            .servers
+            .panels
             .iter()
-            .map(|s| *s.lock().unwrap().metrics())
+            .map(|p| p.lock().unwrap().metrics)
             .fold(ResolverMetrics::default(), |acc, m| acc + m)
     }
 
     /// Prometheus-text snapshot of every daemon and resolver metric —
     /// the same registry the `CHAOS TXT metrics.bind.` answer renders in
-    /// compact form. With a worker pool the resolvers' counters are
-    /// summed and their registries merged, and the shared backend's
-    /// registry (shard counters, coalescing totals) is merged in.
+    /// compact form: the resolvers' counters summed and their registries
+    /// merged over the pool, plus the shared cache's registry (shard
+    /// counters, coalescing totals).
     pub fn prometheus(&self) -> String {
         metrics_registry(&self.shared).render_prometheus()
     }
 
-    /// Turns on per-query tracing in every resolver of the pool; the
-    /// most recent query's trace is readable via
-    /// [`Resolved::explain_last`].
+    /// Turns on per-query tracing in every worker's resolver, from each
+    /// worker's next resolution on; the most recent traced resolution is
+    /// readable via [`Resolved::explain_last`].
     pub fn enable_trace(&self) {
-        for s in self.shared.servers.iter() {
-            s.lock().unwrap().obs_mut().enable_trace();
-        }
+        self.shared.trace_on.store(true, Ordering::Relaxed);
     }
 
-    /// Renders the most recent resolution's trace, when tracing is on
-    /// and at least one query has been resolved. With a worker pool the
-    /// first worker holding a non-empty trace wins.
+    /// Renders the trace of the pool's most recent resolution, when
+    /// tracing is on and at least one query has been resolved since.
     pub fn explain_last(&self) -> Option<String> {
-        for s in self.shared.servers.iter() {
-            let cs = s.lock().unwrap();
-            if let Some(trace) = cs.obs().trace() {
-                if !trace.is_empty() {
-                    return Some(trace.explain());
-                }
-            }
-        }
-        None
+        let last = self.shared.last_trace.lock().unwrap();
+        last.as_ref()
+            .filter(|t| !t.is_empty())
+            .map(QueryTrace::explain)
     }
 
     /// Stops the daemon and joins every worker thread.
@@ -662,13 +458,13 @@ impl<B: CacheBackend> Resolved<B> {
     }
 }
 
-impl<B: CacheBackend> Drop for Resolved<B> {
+impl Drop for Resolved {
     fn drop(&mut self) {
         self.shutdown();
     }
 }
 
-impl<B: CacheBackend> fmt::Display for Resolved<B> {
+impl fmt::Display for Resolved {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
@@ -681,43 +477,216 @@ impl<B: CacheBackend> fmt::Display for Resolved<B> {
     }
 }
 
+/// One worker thread: its resolver, its upstream transport and a
+/// scratch buffer for fast-lane keys.
+struct Worker<U> {
+    index: usize,
+    cs: CachingServer,
+    upstream: U,
+    shared: Arc<Shared>,
+    key: Vec<u8>,
+}
+
+impl<U: Upstream> Worker<U> {
+    /// Drains a batch, serves every packet (fast lane first, slow path
+    /// otherwise), sends the whole batch back; until stopped.
+    fn run<P: PacketIo>(mut self, mut io: P) {
+        let mut rx = PacketBatch::new();
+        let mut tx = PacketBatch::new();
+        while !self.shared.stop.load(Ordering::Relaxed) {
+            let n = match io.recv_batch(&mut rx) {
+                Ok(0) => continue, // timeout tick: re-check the stop flag
+                Ok(n) => n,
+                Err(e) => {
+                    // Fatal receive error: surface it and retire this
+                    // worker instead of dying without a trace.
+                    self.shared.health.record("recv", &e);
+                    break;
+                }
+            };
+            tx.clear();
+            let now = wall_clock();
+            for i in 0..n {
+                self.serve_packet(now, rx.get(i), &mut tx);
+            }
+            if tx.is_empty() {
+                continue;
+            }
+            // Count `served` only for replies the transport accepted.
+            match io.send_batch(&tx) {
+                Ok(sent) => {
+                    self.shared.served.fetch_add(sent as u64, Ordering::Relaxed);
+                    self.shared
+                        .send_errors
+                        .fetch_add((tx.len() - sent) as u64, Ordering::Relaxed);
+                }
+                Err(e) => {
+                    self.shared.health.record("send", &e);
+                    break;
+                }
+            }
+        }
+    }
+
+    /// Serves one datagram into `tx` (or drops it: undecodable queries
+    /// and unencodable replies get no response).
+    fn serve_packet(&mut self, now: SimTime, packet: &Packet, tx: &mut PacketBatch) {
+        let raw = packet.bytes();
+        let peer = packet.peer();
+
+        // Fast lane: a plain IN query answered straight from compiled
+        // bytes — no decode, no resolver, no allocation.
+        let lane = &self.shared.lane;
+        match wirecache::fast_query(raw) {
+            Some(fq) if fq.class == RecordClass::In.code() => {
+                let start = Instant::now();
+                wirecache::lowercase_key(fq.raw_name, &mut self.key);
+                let key = &self.key;
+                let mut cache = lane.cache.lock().unwrap();
+                let hit = tx.push_with(peer, |buf| cache.serve(key, fq.rtype, raw, now, buf));
+                drop(cache);
+                if hit {
+                    let ns = elapsed_ns(start);
+                    self.shared.obs.lock().unwrap().observe_fast(ns);
+                    lane.hits.fetch_add(1, Ordering::Relaxed);
+                    return;
+                }
+                lane.misses.fetch_add(1, Ordering::Relaxed);
+            }
+            _ => {
+                lane.bypass.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+
+        // Slow path: full decode → resolve → encode.
+        let Ok(query) = wire::decode(raw) else {
+            return;
+        };
+        let (response, expiry) = self.answer(&query, now);
+        let shared = &self.shared;
+        let Some((mut bytes, offsets, was_truncated)) =
+            encode_or_truncate(&query, &response, &shared.truncated)
+        else {
+            return; // not even the header+question fits — drop
+        };
+        // Compile cacheable answers into the wire cache *before* the
+        // casing patch, so the stored bytes stay canonical (lowercase):
+        // positive IN answers whose record-cache expiry is known.
+        if !was_truncated && response.header.rcode == Rcode::NoError && !response.answers.is_empty()
+        {
+            if let (Some(exp), Some(q)) = (expiry, query.question()) {
+                if q.class == RecordClass::In && now < exp {
+                    shared
+                        .lane
+                        .cache
+                        .lock()
+                        .unwrap()
+                        .insert(&q.name, q.rtype, &bytes, &offsets, now, exp);
+                }
+            }
+        }
+        // Echo the client's exact question spelling (0x20 randomization):
+        // decoding lowercased the name, so patch it back from the raw
+        // datagram. Also covers TC-bit fallback replies.
+        wire::patch_question_case(&mut bytes, raw);
+        tx.push_copy(&bytes, peer);
+    }
+
+    fn answer(&mut self, query: &Message, now: SimTime) -> (Message, Option<SimTime>) {
+        let mut resp = Message::response_to(query);
+        resp.header.recursion_available = true;
+        let Some(question) = query.question().cloned() else {
+            resp.header.rcode = Rcode::FormErr;
+            return (resp, None);
+        };
+        if question.class == RecordClass::Ch {
+            return (answer_chaos(&self.shared, resp, &question), None);
+        }
+        if self.shared.trace_on.load(Ordering::Relaxed) {
+            self.cs.obs_mut().enable_trace();
+        }
+        let start = Instant::now();
+        let outcome = self.cs.resolve(&question, now, &mut self.upstream);
+        // The record-cache expiry bounding this answer, which caps the
+        // wire-cache entry. `answer_expiry` reports *fresh* records only,
+        // so a stale-served answer (RFC 8767 serve-stale window) yields
+        // `None` and is never compiled into the wire cache — its TTLs are
+        // clamped by the stale path and must not be replayed verbatim by
+        // the fast lane.
+        let expiry = match &outcome {
+            Outcome::Answer { .. } => self.cs.answer_expiry(&question, now),
+            _ => None,
+        };
+        let ns = elapsed_ns(start);
+        self.shared.obs.lock().unwrap().observe_slow(ns);
+        self.publish();
+        match outcome {
+            Outcome::Answer { records, .. } => {
+                resp.answers = records;
+            }
+            Outcome::NxDomain { .. } => resp.header.rcode = Rcode::NxDomain,
+            Outcome::NoData { .. } => {}
+            Outcome::Fail => resp.header.rcode = Rcode::ServFail,
+        }
+        (resp, expiry)
+    }
+
+    /// Copies this worker's resolver state out to the pool: counters and
+    /// registry into its panel, and — when tracing — the trace of the
+    /// resolution just finished into the pool's last-trace slot.
+    fn publish(&self) {
+        self.shared.panels[self.index]
+            .lock()
+            .unwrap()
+            .publish(&self.cs);
+        if let Some(trace) = self.cs.obs().trace() {
+            *self.shared.last_trace.lock().unwrap() = Some(trace.clone());
+        }
+    }
+}
+
+/// Answers `CHAOS`-class queries: `TXT metrics.bind.` dumps the daemon's
+/// metrics snapshot (one TXT string per metric line, the `version.bind.`
+/// convention); everything else is REFUSED. The snapshot is
+/// [`metrics_registry`]'s, as for [`Resolved::prometheus`].
+fn answer_chaos(shared: &Shared, mut resp: Message, question: &dns_core::Question) -> Message {
+    let metrics_name: dns_core::Name = CHAOS_METRICS_NAME.parse().expect("static name");
+    if question.rtype != RecordType::Txt || question.name != metrics_name {
+        resp.header.rcode = Rcode::Refused;
+        return resp;
+    }
+    for line in metrics_registry(shared).render_compact() {
+        resp.answers.push(Record::with_class(
+            question.name.clone(),
+            RecordClass::Ch,
+            Ttl::ZERO,
+            RData::Txt(line),
+        ));
+    }
+    resp
+}
+
 /// Builds a one-shot [`Registry`] holding the daemon's full metric
-/// surface: every [`DaemonStats`] counter, every [`ResolverMetrics`]
-/// counter summed over the pool, the resolvers' own registries (the
-/// modelled resolve-latency histogram) merged over the pool, the
-/// measured wall-clock histograms plus their union, and the shared
-/// backend's registry when it keeps one. Rendered compact for `CHAOS TXT`
-/// answers and as Prometheus text for [`Resolved::prometheus`].
-fn metrics_registry<B: CacheBackend>(shared: &Shared<B>) -> Registry {
+/// surface: the resolvers' own registries (the modelled resolve-latency
+/// histogram) merged over the pool, every [`DaemonStats`] counter, every
+/// [`ResolverMetrics`] counter summed over the pool, the measured
+/// wall-clock histograms, and the shared cache's registry. Rendered
+/// compact for `CHAOS TXT` answers and as Prometheus text for
+/// [`Resolved::prometheus`].
+fn metrics_registry(shared: &Shared) -> Registry {
     let mut reg = Registry::new();
     let mut metrics = ResolverMetrics::default();
-    let mut backend = None;
-    for s in &shared.servers {
-        let cs = s.lock().unwrap();
-        metrics = metrics + *cs.metrics();
-        reg.merge(cs.obs().registry());
-        // Every resolver of a sharded pool shares one backend: take its
-        // registry once.
-        backend = backend.or_else(|| cs.backend().obs_registry());
+    for panel in &shared.panels {
+        let panel = panel.lock().unwrap();
+        metrics = metrics + panel.metrics;
+        reg.merge(&panel.obs);
     }
     for f in shared.stats().fields().chain(metrics.fields()) {
         let id = reg.counter(f.name, f.help);
         reg.set(id, f.value);
     }
-    let obs = shared.obs.lock().unwrap();
-    reg.merge(&obs.registry);
-    // The pre-split series, kept as the union of both lanes so existing
-    // dashboards keep a total-latency view.
-    let wall = reg.histogram(
-        "wall_latency_ms",
-        "Wall-clock resolution latency per client query in milliseconds (both lanes)",
-    );
-    reg.hist_mut(wall).merge(obs.registry.hist(obs.wall_fast));
-    reg.hist_mut(wall).merge(obs.registry.hist(obs.wall_slow));
-    drop(obs);
-    if let Some(backend) = backend {
-        reg.merge(&backend);
-    }
+    reg.merge(&shared.obs.lock().unwrap().registry);
+    reg.merge(&shared.cache.merged_registry());
     reg
 }
 
@@ -826,29 +795,31 @@ mod tests {
                 None
             }
         }
-        let cs = CachingServer::new(
-            dns_resolver::ResolverConfig::vanilla(),
-            dns_resolver::RootHints::new(vec![(
-                "a.root-servers.net".parse().unwrap(),
-                Ipv4Addr::new(198, 41, 0, 4),
-            )]),
-        );
-        let err = Resolved::spawn_pool(cs, Vec::<Dead>::new(), "127.0.0.1:0").unwrap_err();
+        let cs = || {
+            CachingServer::new(
+                dns_resolver::ResolverConfig::vanilla(),
+                dns_resolver::RootHints::new(vec![(
+                    "a.root-servers.net".parse().unwrap(),
+                    Ipv4Addr::new(198, 41, 0, 4),
+                )]),
+            )
+        };
+        let err = Resolved::spawn_pool(cs(), Vec::<Dead>::new(), "127.0.0.1:0").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
 
-        let cs = CachingServer::new(
-            dns_resolver::ResolverConfig::vanilla(),
-            dns_resolver::RootHints::new(vec![(
-                "a.root-servers.net".parse().unwrap(),
-                Ipv4Addr::new(198, 41, 0, 4),
-            )]),
-        );
         let err = Resolved::spawn_io(
-            vec![cs],
+            vec![cs()],
             vec![Dead],
             Vec::<crate::packetio::ChannelPacketIo>::new(),
         )
         .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+
+        // One server per worker: a single server no longer stretches over
+        // a two-worker pool.
+        let hub = crate::LoopbackHub::new();
+        let err =
+            Resolved::spawn_io(vec![cs()], vec![Dead, Dead], vec![hub.io(), hub.io()]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 }

@@ -4,7 +4,6 @@
 
 use dns_core::{Message, RData};
 use dns_netd::Resolved;
-use dns_resolver::CacheBackend;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -70,7 +69,7 @@ pub fn prom_counter(body: &str, metric: &str) -> u64 {
 /// rendered before its own reply was sent, and the daemon counts a reply
 /// as served only after sending it, so this first waits for that count
 /// and then expects the snapshot's `daemon_served` to be one lower.
-pub fn assert_every_counter_exposed<B: CacheBackend>(resolver: &Resolved<B>, snapshot: &Snapshot) {
+pub fn assert_every_counter_exposed(resolver: &Resolved, snapshot: &Snapshot) {
     let shown_served = snapshot["daemon_served"]["value"];
     let deadline = Instant::now() + Duration::from_secs(2);
     while resolver.served() <= shown_served && Instant::now() < deadline {

@@ -47,8 +47,8 @@ fn chaos_snapshot_reconciles_with_daemon_and_resolver_counters() {
     let resolver = Resolved::spawn_pool(cs, upstreams, "127.0.0.1:0").unwrap();
     resolver.enable_trace();
 
-    // A full recursive resolution, a negative answer, then a
-    // blackout-induced SERVFAIL — three resolutions with three distinct
+    // A full recursive resolution, negative answers, then a
+    // blackout-induced SERVFAIL — ten resolutions with three distinct
     // outcomes feeding the metric surface.
     let resp = client::query(
         resolver.addr(),
@@ -59,14 +59,22 @@ fn chaos_snapshot_reconciles_with_daemon_and_resolver_counters() {
     .unwrap();
     assert_eq!(resp.kind(), ResponseKind::Answer);
 
-    let resp = client::query(
-        resolver.addr(),
-        &"nowhere.ucla.edu".parse().unwrap(),
-        RecordType::A,
-        client_timeout(),
-    )
-    .unwrap();
-    assert_eq!(resp.header.rcode, Rcode::NxDomain);
+    // Distinct nonexistent names, one at a time: each is a fresh
+    // slow-path resolution on whichever worker the kernel hands it to,
+    // and `explain_last` follows the pool, naming each query in turn.
+    for i in 0..8 {
+        let qname = format!("nx{i}.ucla.edu");
+        let resp = client::query(
+            resolver.addr(),
+            &qname.parse().unwrap(),
+            RecordType::A,
+            client_timeout(),
+        )
+        .unwrap();
+        assert_eq!(resp.header.rcode, Rcode::NxDomain);
+        let explain = resolver.explain_last().expect("trace for last query");
+        assert!(explain.contains(&format!("query {qname}. A")), "{explain}");
+    }
 
     for handle in &handles {
         handle.blackout(&net.top_level_ips(), Duration::from_secs(3600));
@@ -101,9 +109,9 @@ fn chaos_snapshot_reconciles_with_daemon_and_resolver_counters() {
 
     // Reconcile every counter with the daemon's in-process view. The
     // snapshot was taken before the CHAOS response itself was sent, so
-    // it covers exactly the three IN resolutions.
+    // it covers exactly the ten IN resolutions.
     common::assert_every_counter_exposed(&resolver, &snapshot);
-    assert_eq!(snapshot["daemon_served"]["value"], 3);
+    assert_eq!(snapshot["daemon_served"]["value"], 10);
     let stats = resolver.stats();
     let metrics = resolver.metrics();
     assert!(
@@ -112,20 +120,24 @@ fn chaos_snapshot_reconciles_with_daemon_and_resolver_counters() {
     );
     assert_eq!(metrics.fetches_clamped, 0, "defenses default off");
 
-    // Three distinct names means every IN resolution took the slow path:
+    // Distinct names means every IN resolution took the slow path:
     // the slow-lane wall histogram and the modelled histogram saw one
     // observation per resolution, the fast-lane histogram exactly one
-    // per wire hit (none here), and the combined series their union.
+    // per wire hit (none here).
     assert_eq!(snapshot["resolve_latency_ms"]["count"], metrics.queries_in);
     assert_eq!(
-        snapshot["wall_latency_slow_ms"]["count"],
+        snapshot["wall_latency_slow_ns"]["count"],
         metrics.queries_in
     );
-    assert_eq!(snapshot["wall_latency_fast_ms"]["count"], stats.wire_hits);
-    assert_eq!(
-        snapshot["wall_latency_ms"]["count"],
-        metrics.queries_in + stats.wire_hits
-    );
+    assert_eq!(snapshot["wall_latency_fast_ns"]["count"], stats.wire_hits);
+    // The shared cache's shard and coalescing counters ride along.
+    for name in [
+        "shard_record_hits",
+        "shard_record_inserts",
+        "singleflight_leads",
+    ] {
+        assert!(snapshot.contains_key(name), "{name} missing from CHAOS");
+    }
     // The positive answer was compiled into the wire cache, and the
     // snapshot exposes the byte total its budget bounds.
     assert!(stats.wire_bytes > 0, "compiled answer occupies bytes");
@@ -155,9 +167,8 @@ fn chaos_snapshot_reconciles_with_daemon_and_resolver_counters() {
     // histograms next to the counters checked above.
     let body = resolver.prometheus();
     assert!(body.contains("resolve_latency_ms_bucket"));
-    assert!(body.contains("wall_latency_ms_bucket"));
-    assert!(body.contains("wall_latency_fast_ms_bucket"));
-    assert!(body.contains("wall_latency_slow_ms_bucket"));
+    assert!(body.contains("wall_latency_fast_ns_bucket"));
+    assert!(body.contains("wall_latency_slow_ns_bucket"));
 
     resolver.stop();
     net.stop();

@@ -33,14 +33,29 @@ struct Hist {
 
 /// A registry of pre-registered counters and histograms.
 ///
-/// Registration allocates; recording does not. The registry is not
-/// internally synchronised — embed it behind whatever lock already
-/// guards the component it instruments (e.g. the `Resolved` daemon's
-/// `Mutex<CachingServer>`).
-#[derive(Debug, Clone, Default)]
+/// Registration allocates; recording does not, and neither does
+/// `clone_from` onto a registry with the same metrics (the `Resolved`
+/// daemon copies each worker resolver's registry this way after every
+/// resolution). The registry is not internally synchronised — embed it
+/// behind whatever lock already guards the component it instruments.
+#[derive(Debug, Default)]
 pub struct Registry {
     counters: Vec<Counter>,
     hists: Vec<Hist>,
+}
+
+impl Clone for Registry {
+    fn clone(&self) -> Self {
+        Registry {
+            counters: self.counters.clone(),
+            hists: self.hists.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.counters.clone_from(&source.counters);
+        self.hists.clone_from(&source.hists);
+    }
 }
 
 impl Registry {

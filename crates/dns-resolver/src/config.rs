@@ -213,12 +213,13 @@ pub struct ResolverConfig {
     /// randomization and backoff jitter). Same seed → same IDs and same
     /// retry schedule.
     pub seed: u64,
-    /// Number of data-cache shards a [`crate::ShardedCache`] built for
-    /// this configuration should use. The default [`crate::LocalBackend`]
-    /// ignores it.
+    /// Number of data-cache shards in the [`crate::ShardedCache`]
+    /// [`crate::CachingServer::new`] builds: lock granularity for
+    /// resolvers sharing the cache across threads, never behaviour.
+    /// Default 1 (no shard hashing).
     pub shards: usize,
     /// Single-flight coalescing: top-level cache misses go through the
-    /// backend's in-flight table so concurrent identical queries share one
+    /// cache's in-flight table so concurrent identical queries share one
     /// upstream fetch. Off by default — the deterministic experiment
     /// transcripts were captured without the extra cache re-probe a
     /// leader performs.
@@ -366,7 +367,7 @@ impl ResolverConfigBuilder {
         self
     }
 
-    /// Number of data-cache shards for a shared [`crate::ShardedCache`].
+    /// Number of data-cache shards (see [`ResolverConfig::shards`]).
     pub fn shards(mut self, shards: usize) -> Self {
         self.config.shards = shards.max(1);
         self

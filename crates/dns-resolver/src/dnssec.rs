@@ -57,9 +57,12 @@ impl CachingServer {
         now: SimTime,
         up: &mut U,
     ) -> SecureStatus {
-        let ds: Vec<(u16, u32)> = match self.infra().get(zone) {
-            Some(entry) if entry.is_fresh(now) && !entry.ds.is_empty() => entry.ds.clone(),
-            _ => return SecureStatus::Insecure,
+        let ds = self.backend().with_infra(zone, |entry| match entry {
+            Some(entry) if entry.is_fresh(now) && !entry.ds.is_empty() => Some(entry.ds.clone()),
+            _ => None,
+        });
+        let Some(ds) = ds else {
+            return SecureStatus::Insecure;
         };
         let question = Question::new(zone.clone(), RecordType::Dnskey);
         match self.resolve(&question, now, up) {

@@ -57,13 +57,16 @@ pub(crate) struct InflightTable {
     zone_cap: Mutex<Option<u32>>,
 }
 
-/// What a capped [`InflightTable::join_or_lead`] decided.
-pub(crate) enum Admission {
-    /// This thread leads the flight.
+/// What [`InflightTable::join_or_lead`] decided for one resolution.
+#[derive(Debug)]
+pub(crate) enum Flight {
+    /// This thread is the leader: perform the fetch, then
+    /// [`FlightToken::publish`] the outcome for any followers.
     Lead(FlightToken),
     /// An identical flight was open; its published outcome.
     Shared(Outcome),
-    /// The target zone's inflight cap is exhausted; no flight was opened.
+    /// The target zone's inflight cap is exhausted: the query is refused
+    /// without upstream work (counted as `flood_suppressed`).
     Suppressed,
 }
 
@@ -81,15 +84,23 @@ impl InflightTable {
         *self.zone_cap.lock().unwrap() = cap;
     }
 
+    /// An empty table with this table's zone cap: open flights belong to
+    /// the threads leading them and never carry over to a fork.
+    pub(crate) fn fork(&self) -> InflightTable {
+        let table = InflightTable::default();
+        table.set_zone_cap(*self.zone_cap.lock().unwrap());
+        table
+    }
+
     /// Joins the open flight for `(name, rtype)` — blocking until its
     /// leader publishes — opens a new one and returns its token, or
     /// refuses admission when the target zone's cap is exhausted.
-    pub(crate) fn join_or_lead(self: &Arc<Self>, name: &Name, rtype: RecordType) -> Admission {
+    pub(crate) fn join_or_lead(self: &Arc<Self>, name: &Name, rtype: RecordType) -> Flight {
         let mut slots = self.slots.lock().unwrap();
         if let Some(slot) = slots.get(&(name, rtype) as &dyn dns_core::RrKeyView) {
             let slot = Arc::clone(slot);
             drop(slots);
-            return Admission::Shared(slot.wait());
+            return Flight::Shared(slot.wait());
         }
         let cap = *self.zone_cap.lock().unwrap();
         let bucket = if let Some(cap) = cap {
@@ -97,7 +108,7 @@ impl InflightTable {
             let mut counts = self.zone_counts.lock().unwrap();
             let open = counts.get(&bucket).copied().unwrap_or(0);
             if open >= cap {
-                return Admission::Suppressed;
+                return Flight::Suppressed;
             }
             counts.insert(bucket.clone(), open + 1);
             Some(bucket)
@@ -108,7 +119,7 @@ impl InflightTable {
         let slot = Arc::new(FlightSlot::default());
         slots.insert(key.clone(), Arc::clone(&slot));
         drop(slots);
-        Admission::Lead(FlightToken {
+        Flight::Lead(FlightToken {
             flight: Some(OpenFlight {
                 key,
                 bucket,
@@ -135,25 +146,12 @@ impl InflightTable {
     }
 }
 
-/// Whether this resolution leads its flight or shares a leader's answer.
-#[derive(Debug)]
-pub enum Flight {
-    /// This thread is the leader: perform the fetch, then
-    /// [`FlightToken::publish`] the outcome for any followers.
-    Lead(FlightToken),
-    /// Another thread's flight was already open; its published outcome.
-    Shared(Outcome),
-    /// The target zone's inflight cap is exhausted: the query is refused
-    /// without upstream work (counted as `flood_suppressed`).
-    Suppressed,
-}
-
 /// Leadership of one in-flight query (see [`Flight::Lead`]).
 ///
 /// Dropping the token without [`FlightToken::publish`] releases followers
 /// with [`Outcome::Fail`].
 #[derive(Debug)]
-pub struct FlightToken {
+pub(crate) struct FlightToken {
     flight: Option<OpenFlight>,
 }
 
@@ -169,14 +167,8 @@ struct OpenFlight {
 }
 
 impl FlightToken {
-    /// A token with no followers, for backends that never coalesce
-    /// ([`crate::LocalBackend`]). Publish and drop are no-ops.
-    pub fn solo() -> Self {
-        FlightToken { flight: None }
-    }
-
     /// Publishes the leader's outcome, waking every follower.
-    pub fn publish(mut self, outcome: &Outcome) {
+    pub(crate) fn publish(mut self, outcome: &Outcome) {
         if let Some(f) = self.flight.take() {
             f.table
                 .finish(&f.key, f.bucket.as_ref(), &f.slot, outcome.clone());
@@ -203,9 +195,9 @@ mod tests {
 
     fn lead(table: &Arc<InflightTable>, n: &str, rtype: RecordType) -> FlightToken {
         match table.join_or_lead(&name(n), rtype) {
-            Admission::Lead(t) => t,
-            Admission::Shared(_) => panic!("expected to lead, flight was shared"),
-            Admission::Suppressed => panic!("expected to lead, admission suppressed"),
+            Flight::Lead(t) => t,
+            Flight::Shared(_) => panic!("expected to lead, flight was shared"),
+            Flight::Suppressed => panic!("expected to lead, admission suppressed"),
         }
     }
 
@@ -221,8 +213,8 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         token.publish(&Outcome::NxDomain { from_cache: false });
         match follower.join().unwrap() {
-            Admission::Shared(Outcome::NxDomain { from_cache: false }) => {}
-            Admission::Shared(other) => panic!("follower saw {other:?}"),
+            Flight::Shared(Outcome::NxDomain { from_cache: false }) => {}
+            Flight::Shared(other) => panic!("follower saw {other:?}"),
             _ => panic!("follower did not share"),
         }
         // The table entry is gone: the next arrival leads a fresh flight.
@@ -241,7 +233,7 @@ mod tests {
         drop(token);
         assert!(matches!(
             follower.join().unwrap(),
-            Admission::Shared(Outcome::Fail)
+            Flight::Shared(Outcome::Fail)
         ));
     }
 
@@ -262,7 +254,7 @@ mod tests {
         let _t2 = lead(&table, "nx2.victim.x", RecordType::A);
         assert!(matches!(
             table.join_or_lead(&name("nx3.victim.x"), RecordType::A),
-            Admission::Suppressed
+            Flight::Suppressed
         ));
         // Other zones are unaffected.
         let _other = lead(&table, "www.other.x", RecordType::A);
@@ -273,12 +265,5 @@ mod tests {
         table.set_zone_cap(None);
         let _t4 = lead(&table, "nx4.victim.x", RecordType::A);
         let _t5 = lead(&table, "nx5.victim.x", RecordType::A);
-    }
-
-    #[test]
-    fn solo_token_is_inert() {
-        let t = FlightToken::solo();
-        t.publish(&Outcome::Fail);
-        drop(FlightToken::solo());
     }
 }

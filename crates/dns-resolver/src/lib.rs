@@ -46,7 +46,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod backend;
 mod cache;
 mod config;
 pub mod dnssec;
@@ -60,11 +59,9 @@ mod retry;
 mod shard;
 mod upstream;
 
-pub use backend::{CacheBackend, LocalBackend};
 pub use cache::{CacheEntry, Credibility, NegativeInsertOutcome, NegativeKind, RecordCache};
 pub use config::{DefensePolicy, ResolverConfig, ResolverConfigBuilder, RootHints, StalePolicy};
 pub use dnssec::SecureStatus;
-pub use inflight::{Flight, FlightToken};
 pub use infra::{GapSample, InfraCache, InfraEntry, InfraSource};
 pub use metrics::{OccupancySample, ResolverMetrics};
 pub use obs::{LatencyModel, ResolverObs};
@@ -73,3 +70,9 @@ pub use resolve::{CachingServer, Outcome};
 pub use retry::RetryPolicy;
 pub use shard::ShardedCache;
 pub use upstream::Upstream;
+
+/// The name perfbench's sim ledger still builds its cache under; the
+/// next change to the benchmark switches `perfbench/src/sim.rs` to
+/// [`ShardedCache::new`] and deletes this alias.
+#[doc(hidden)]
+pub type LocalBackend = ShardedCache;

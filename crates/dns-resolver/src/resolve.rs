@@ -1,11 +1,10 @@
 //! The caching server: iterative resolution plus the resilience schemes.
 
-use crate::backend::{CacheBackend, LocalBackend};
 use crate::cache::NegativeKind;
 use crate::inflight::Flight;
 use crate::{
     Credibility, InfraSource, OccupancySample, ResolverConfig, ResolverMetrics, ResolverObs,
-    RootHints, Upstream,
+    RootHints, ShardedCache, Upstream,
 };
 use dns_core::{
     Message, Name, Question, RData, Record, RecordType, ResponseKind, RrKey, RrKeyView, RrSet,
@@ -196,18 +195,19 @@ fn cache_tag(from_cache: bool) -> &'static str {
 /// A caching DNS server (the paper's *CS*): iterative resolver, record
 /// cache, infrastructure cache and the configured resilience schemes.
 ///
-/// The server is generic over its [`CacheBackend`]: the default
-/// [`LocalBackend`] owns a private cache pair (the historical,
-/// deterministic configuration), while [`crate::ShardedCache`] lets many
-/// servers on different threads share one sharded cache with
-/// single-flight coalescing.
+/// The caches live in a [`ShardedCache`] handle. A server built with
+/// [`CachingServer::new`] owns its cache; [`CachingServer::sibling`]
+/// builds another server over the same cache (a daemon's worker pool),
+/// and [`CachingServer::fork`] deep-copies server and cache (the
+/// simulator's window forks). The server is deliberately not `Clone`, so
+/// no caller can share a cache by accident.
 ///
 /// See the crate-level documentation for an example and the scheme
 /// descriptions.
-#[derive(Debug, Clone)]
-pub struct CachingServer<B: CacheBackend = LocalBackend> {
+#[derive(Debug)]
+pub struct CachingServer {
     config: ResolverConfig,
-    backend: B,
+    backend: ShardedCache,
     metrics: ResolverMetrics,
     /// Deterministic RNG seeded from [`ResolverConfig::seed`]; drives
     /// query-ID randomization (the anti-spoofing fix — sequential IDs are
@@ -228,27 +228,17 @@ pub struct CachingServer<B: CacheBackend = LocalBackend> {
 
 impl CachingServer {
     /// Creates a caching server with the given configuration and root
-    /// hints, backed by a private [`LocalBackend`].
+    /// hints over a cache of its own with `config.shards` shards.
     pub fn new(config: ResolverConfig, hints: RootHints) -> Self {
-        CachingServer::with_backend(config, hints, LocalBackend::new())
+        let cache = ShardedCache::with_shards(config.shards);
+        CachingServer::with_backend(config, hints, cache)
     }
 
-    /// The infrastructure cache (read access, e.g. for tests and metrics).
-    pub fn infra(&self) -> &crate::InfraCache {
-        self.backend.infra_cache()
-    }
-
-    /// The record cache (read access).
-    pub fn cache(&self) -> &crate::RecordCache {
-        self.backend.record_cache()
-    }
-}
-
-impl<B: CacheBackend> CachingServer<B> {
-    /// Creates a caching server over an explicit backend (possibly shared
-    /// with other servers) and installs the root hints into it.
-    pub fn with_backend(config: ResolverConfig, hints: RootHints, mut backend: B) -> Self {
-        backend.install_root_hints(hints.servers());
+    /// Creates a caching server over an explicit cache handle, installs
+    /// the root hints into it and applies the configuration's cache knobs
+    /// (negative-cache budget, inflight cap, stale retention).
+    pub fn with_backend(config: ResolverConfig, hints: RootHints, backend: ShardedCache) -> Self {
+        backend.infra().install_root_hints(hints.servers());
         // Apply flood-defense knobs only when set: an off policy leaves the
         // backend exactly as the pinned transcripts expect.
         if !config.defense.is_off() {
@@ -264,6 +254,12 @@ impl<B: CacheBackend> CachingServer<B> {
         if let Some(window) = config.stale.max_stale {
             backend.set_stale_retention(Some(window));
         }
+        CachingServer::over(config, backend)
+    }
+
+    /// A fresh server over `backend` as it stands: counters, RNG,
+    /// observability and prefetch state all start from `config`.
+    fn over(config: ResolverConfig, backend: ShardedCache) -> Self {
         let prefetch = config
             .stale
             .prefetch_min_samples
@@ -280,6 +276,33 @@ impl<B: CacheBackend> CachingServer<B> {
         }
     }
 
+    /// Another server over this server's cache — shared, not copied —
+    /// with the same configuration but `seed`, and fresh counters,
+    /// observability and prefetch state. The cache is already set up, so
+    /// the root hints are not installed again (that would overwrite the
+    /// cached root entry). A daemon's worker pool runs one sibling per
+    /// worker.
+    pub fn sibling(&self, seed: u64) -> CachingServer {
+        let config = self.config.to_builder().seed(seed).build();
+        CachingServer::over(config, self.backend.clone())
+    }
+
+    /// An independent deep copy: the cache is [`ShardedCache::fork`]ed
+    /// and everything else — counters, RNG state, observability, the
+    /// prefetch learner — copied, so the fork resolves exactly as this
+    /// server would have from here on.
+    pub fn fork(&self) -> CachingServer {
+        CachingServer {
+            config: self.config,
+            backend: self.backend.fork(),
+            metrics: self.metrics,
+            rng: self.rng.clone(),
+            obs: self.obs.clone(),
+            ns_fetches_used: self.ns_fetches_used,
+            prefetch: self.prefetch.clone(),
+        }
+    }
+
     /// The active configuration.
     pub fn config(&self) -> &ResolverConfig {
         &self.config
@@ -290,20 +313,20 @@ impl<B: CacheBackend> CachingServer<B> {
         &self.metrics
     }
 
-    /// The cache backend (read access, e.g. for a shared backend's
-    /// observability registry).
-    pub fn backend(&self) -> &B {
+    /// The cache handle (reads through `with_record`/`with_infra`, the
+    /// shard and coalescing registry).
+    pub fn backend(&self) -> &ShardedCache {
         &self.backend
     }
 
     /// Drains the Figure-3 gap samples collected so far.
     pub fn take_gap_samples(&mut self) -> Vec<crate::infra::GapSample> {
-        self.backend.take_gap_samples()
+        self.backend.infra().take_gap_samples()
     }
 
     /// Negative-cache entries currently stored (flood-pressure
     /// introspection for experiments and tests).
-    pub fn negative_entries(&mut self) -> usize {
+    pub fn negative_entries(&self) -> usize {
         self.backend.negative_entries()
     }
 
@@ -445,7 +468,7 @@ impl<B: CacheBackend> CachingServer<B> {
     /// and any cached zone holds credit.
     pub fn next_renewal_due(&mut self) -> Option<SimTime> {
         self.config.renewal?;
-        self.backend.peek_renewal_due()
+        self.backend.infra().peek_renewal_due()
     }
 
     /// Executes every renewal due at or before `upto`, each at its own due
@@ -455,8 +478,13 @@ impl<B: CacheBackend> CachingServer<B> {
             return 0;
         }
         let mut attempted = 0;
-        while let Some((due, zone)) = self.backend.next_renewal_due(upto) {
-            let Some(entry) = self.backend.consume_renewal_credit(&zone) else {
+        loop {
+            // Pop under a lock released before the exchange below.
+            let next = self.backend.infra().next_renewal_due(upto);
+            let Some((due, zone)) = next else {
+                break;
+            };
+            let Some(entry) = self.backend.infra().consume_renewal_credit(&zone) else {
                 continue;
             };
             attempted += 1;
@@ -486,10 +514,14 @@ impl<B: CacheBackend> CachingServer<B> {
     /// because sampling advances the caches' expiry heaps; `now` must not
     /// move backwards across calls.
     pub fn occupancy(&mut self, now: SimTime) -> OccupancySample {
+        let (zones, infra_records) = {
+            let mut infra = self.backend.infra();
+            (infra.fresh_zone_count(now), infra.fresh_record_count(now))
+        };
         OccupancySample {
             at: now,
-            zones: self.backend.infra_fresh_zones(now),
-            infra_records: self.backend.infra_fresh_records(now),
+            zones,
+            infra_records,
             data_rrsets: self.backend.data_fresh_rrsets(now),
             data_records: self.backend.data_fresh_records(now),
         }
@@ -499,7 +531,8 @@ impl<B: CacheBackend> CachingServer<B> {
     pub fn purge(&mut self, now: SimTime) {
         self.backend.purge_data(now);
         self.backend
-            .purge_infra_tombstones(now, TOMBSTONE_RETENTION);
+            .infra()
+            .purge_tombstones(now, TOMBSTONE_RETENTION);
     }
 
     // ------------------------------------------------------------------
@@ -656,7 +689,7 @@ impl<B: CacheBackend> CachingServer<B> {
 
         // Cache cannot answer: walk the hierarchy for `qname` (the end of
         // any cached alias chain). Top-level misses go through the
-        // backend's single-flight gate when coalescing is enabled; nested
+        // cache's single-flight gate when coalescing is enabled; nested
         // resolutions never wait on a flight (a leader blocking on another
         // leader could deadlock).
         self.trace_push(|| TraceEvent::CacheMiss);
@@ -678,7 +711,7 @@ impl<B: CacheBackend> CachingServer<B> {
         }
     }
 
-    /// Fetches under the backend's single-flight gate: either this
+    /// Fetches under the cache's single-flight gate: either this
     /// resolution leads (performs the fetch and publishes the outcome for
     /// followers) or it shares an already-open flight's outcome.
     ///
@@ -738,10 +771,12 @@ impl<B: CacheBackend> CachingServer<B> {
         up: &mut U,
         depth: usize,
     ) -> Outcome {
-        let Some(start) =
-            self.backend
-                .deepest_usable_zone(&question.name, now, self.config.parent_recheck)
-        else {
+        let start = self
+            .backend
+            .infra()
+            .deepest_usable_ancestor(&question.name, now, self.config.parent_recheck)
+            .map(|e| e.zone.clone());
+        let Some(start) = start else {
             self.trace_push(|| TraceEvent::NoInfra);
             return Outcome::Fail;
         };
@@ -761,7 +796,7 @@ impl<B: CacheBackend> CachingServer<B> {
             // Prefer the responsive server next time instead of re-paying
             // timeouts on dead ones ahead of it in the list.
             if Some(responder) != addrs.first().copied() {
-                self.backend.promote_zone_address(&zone, responder);
+                self.backend.infra().promote_address(&zone, responder);
             }
             self.harvest_response(&resp, &zone, now, true);
 
@@ -881,7 +916,7 @@ impl<B: CacheBackend> CachingServer<B> {
         depth: usize,
     ) -> Vec<Ipv4Addr> {
         /// What the infra entry offers for contacting a zone, extracted
-        /// under the backend's borrow.
+        /// under the infra cache's lock.
         enum ZoneServers {
             Unknown,
             Ready(Vec<Ipv4Addr>),
@@ -947,7 +982,7 @@ impl<B: CacheBackend> CachingServer<B> {
                 break; // one reachable server is enough to proceed
             }
         }
-        self.backend.add_zone_addresses(zone, &learned);
+        self.backend.infra().add_addresses(zone, &learned);
         learned.into_iter().map(|(_, a)| a).collect()
     }
 
@@ -1040,7 +1075,8 @@ impl<B: CacheBackend> CachingServer<B> {
         if demand {
             let policy = self.config.renewal;
             self.backend
-                .record_zone_use(zone_queried, now, policy.as_ref());
+                .infra()
+                .record_use(zone_queried, now, policy.as_ref());
         }
 
         // Answer section → record cache (authoritative data only).
@@ -1127,7 +1163,7 @@ impl<B: CacheBackend> CachingServer<B> {
             let was_fresh_child = self.backend.with_infra(&owner, |e| {
                 e.is_some_and(|e| e.is_fresh(now) && e.source == InfraSource::Child)
             });
-            let installed = self.backend.install_infra(
+            let installed = self.backend.infra().install(
                 owner,
                 ns_names,
                 addrs,
@@ -1156,7 +1192,7 @@ impl<B: CacheBackend> CachingServer<B> {
             }
         }
         for (owner, ds) in ds_by_owner {
-            self.backend.set_zone_ds(&owner, ds);
+            self.backend.infra().set_ds(&owner, ds);
         }
     }
 

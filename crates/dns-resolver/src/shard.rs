@@ -1,13 +1,19 @@
-//! The shared concurrent backend: lock-sharded record caches plus
-//! single-flight coalescing.
+//! The resolver's cache: lock-sharded record caches, the infrastructure
+//! cache and single-flight coalescing behind one handle.
 //!
-//! A [`ShardedCache`] is a clonable handle (`Arc` inside) that many
-//! [`crate::CachingServer`]s — one per worker thread — share. Data-cache
-//! state is split across N shards, each behind its own mutex, selected by
-//! an FNV-1a hash of the owner name's canonical suffix bytes (the same
-//! bytes [`Name`]'s `Hash` uses, so equal names always land on the same
-//! shard regardless of how they were constructed). Lookups and inserts
-//! for different names contend only when they collide on a shard.
+//! A [`ShardedCache`] is a clonable handle (`Arc` inside). Cloning shares
+//! the cache, so the [`crate::CachingServer`]s of a daemon's worker pool —
+//! one per worker thread — resolve against one cache, while
+//! [`ShardedCache::fork`] deep-copies it for the simulator's window
+//! forks. The simulator and the daemon therefore run the same cache code;
+//! the shard count sets lock granularity, never answers.
+//!
+//! Data-cache state is split across N shards, each behind its own mutex,
+//! selected by an FNV-1a hash of the owner name's canonical suffix bytes
+//! (the same bytes [`Name`]'s `Hash` uses, so equal names always land on
+//! the same shard regardless of how they were constructed). Lookups and
+//! inserts for different names contend only when they collide on a
+//! shard; with one shard no hash is computed at all.
 //!
 //! The infrastructure cache stays behind a single mutex: renewal
 //! scheduling, gap sampling and the parent-recheck walk are cross-zone
@@ -18,24 +24,27 @@
 //! question fetches; concurrent identical questions block and share the
 //! leader's outcome.
 //!
+//! Reads hand the caller a borrow *inside a closure* (`with_record`,
+//! `with_infra`) rather than returning a reference: the shard lock must
+//! be released when the read ends, which a returned borrow cannot
+//! express. The closure style keeps the borrowed-key `(&Name,
+//! RecordType)` probe — no key allocation on the hot path.
+//!
 //! Each shard keeps its own [`dns_obs::Registry`] so counting a hit never
 //! touches another shard's cache line; [`ShardedCache::merged_registry`]
 //! folds them into one registry (histograms via
 //! [`LogHistogram::merge`](dns_obs::LogHistogram::merge)) for scraping.
 
-use crate::backend::CacheBackend;
 use crate::cache::{CacheEntry, Credibility, NegativeInsertOutcome, NegativeKind, RecordCache};
-use crate::inflight::{Admission, Flight, InflightTable};
-use crate::infra::{GapSample, InfraCache, InfraEntry, InfraSource};
-use crate::RenewalPolicy;
+use crate::inflight::{Flight, InflightTable};
+use crate::infra::{InfraCache, InfraEntry};
 use dns_core::{Name, RecordType, RrSet, SimDuration, SimTime, Ttl};
 use dns_obs::{CounterId, HistId, Registry};
-use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// One lock-sharded slice of the data cache with its private counters.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Shard {
     cache: RecordCache,
     obs: Registry,
@@ -80,19 +89,31 @@ struct Inner {
     flights_shared: AtomicU64,
 }
 
-/// A concurrent cache backend shared by many resolver workers.
+/// The record, negative and infrastructure caches of a
+/// [`crate::CachingServer`], shareable across worker threads.
 ///
 /// Cloning is cheap (an `Arc` bump); every clone observes and mutates the
-/// same caches. See the module docs for the sharding and single-flight
-/// design.
+/// same caches. [`ShardedCache::fork`] makes an independent deep copy.
+/// See the module docs for the sharding and single-flight design.
 #[derive(Debug, Clone)]
 pub struct ShardedCache {
     inner: Arc<Inner>,
 }
 
+impl Default for ShardedCache {
+    fn default() -> Self {
+        ShardedCache::new()
+    }
+}
+
 impl ShardedCache {
-    /// Creates a backend with `shards` data-cache shards (minimum 1).
-    pub fn new(shards: usize) -> Self {
+    /// An empty single-shard cache: one lock, no shard hashing.
+    pub fn new() -> Self {
+        ShardedCache::with_shards(1)
+    }
+
+    /// An empty cache with `shards` data-cache shards (minimum 1).
+    pub fn with_shards(shards: usize) -> Self {
         let n = shards.max(1);
         ShardedCache {
             inner: Arc::new(Inner {
@@ -101,6 +122,27 @@ impl ShardedCache {
                 inflight: Arc::new(InflightTable::default()),
                 flights_led: AtomicU64::new(0),
                 flights_shared: AtomicU64::new(0),
+            }),
+        }
+    }
+
+    /// An independent deep copy: the shards, the infrastructure cache,
+    /// the counters and the per-zone inflight cap are copied, and the
+    /// fork starts with no open flights (those belong to the threads
+    /// leading them). Mutating either side never shows in the other.
+    pub fn fork(&self) -> ShardedCache {
+        let inner = &self.inner;
+        ShardedCache {
+            inner: Arc::new(Inner {
+                shards: inner
+                    .shards
+                    .iter()
+                    .map(|s| Mutex::new(s.lock().unwrap().clone()))
+                    .collect(),
+                infra: Mutex::new(self.infra().clone()),
+                inflight: Arc::new(inner.inflight.fork()),
+                flights_led: AtomicU64::new(self.flights_led()),
+                flights_shared: AtomicU64::new(self.flights_shared()),
             }),
         }
     }
@@ -141,26 +183,29 @@ impl ShardedCache {
         merged
     }
 
+    /// Sums `f` over every shard, each locked in turn.
+    fn sum_shards(&self, mut f: impl FnMut(&mut Shard) -> usize) -> usize {
+        self.inner
+            .shards
+            .iter()
+            .map(|s| f(&mut s.lock().unwrap()))
+            .sum()
+    }
+
     fn shard_for(&self, name: &Name) -> &Mutex<Shard> {
-        let idx = fnv1a(name.as_suffix_bytes()) as usize % self.inner.shards.len();
-        &self.inner.shards[idx]
+        let shards = &self.inner.shards;
+        if shards.len() == 1 {
+            return &shards[0];
+        }
+        &shards[fnv1a(name.as_suffix_bytes()) as usize % shards.len()]
     }
-}
 
-/// FNV-1a 64-bit over the name's canonical (lowercased, length-prefixed)
-/// suffix bytes.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+    // --- record + negative cache --------------------------------------
 
-impl CacheBackend for ShardedCache {
-    fn with_record<R>(
-        &mut self,
+    /// Looks up the fresh entry for `(name, rtype)` at `now` and passes it
+    /// to `f`. The shard lock is held until `f` returns.
+    pub fn with_record<R>(
+        &self,
         name: &Name,
         rtype: RecordType,
         now: SimTime,
@@ -179,7 +224,19 @@ impl CacheBackend for ShardedCache {
         out
     }
 
-    fn insert_record(&mut self, set: RrSet, now: SimTime, credibility: Credibility) -> bool {
+    /// Absolute expiry of the fresh entry for `(name, rtype)` at `now`,
+    /// if one exists.
+    ///
+    /// This is the invalidation hook for byte-level response caches
+    /// layered above the resolver (the daemon's wire fast lane): a
+    /// pre-serialized answer must never outlive the record-cache entries
+    /// it was compiled from.
+    pub fn record_expiry(&self, name: &Name, rtype: RecordType, now: SimTime) -> Option<SimTime> {
+        self.with_record(name, rtype, now, |e| e.map(|e| e.expires_at))
+    }
+
+    /// Inserts an RRset under [`RecordCache::insert`]'s credibility rules.
+    pub(crate) fn insert_record(&self, set: RrSet, now: SimTime, credibility: Credibility) -> bool {
         let mut shard = self.shard_for(set.name()).lock().unwrap();
         let stored = shard.cache.insert(set, now, credibility);
         if stored {
@@ -189,7 +246,13 @@ impl CacheBackend for ShardedCache {
         stored
     }
 
-    fn negative(&mut self, name: &Name, rtype: RecordType, now: SimTime) -> Option<NegativeKind> {
+    /// Fresh negative-cache lookup.
+    pub(crate) fn negative(
+        &self,
+        name: &Name,
+        rtype: RecordType,
+        now: SimTime,
+    ) -> Option<NegativeKind> {
         let mut shard = self.shard_for(name).lock().unwrap();
         let kind = shard.cache.get_negative(name, rtype, now);
         if kind.is_some() {
@@ -199,8 +262,10 @@ impl CacheBackend for ShardedCache {
         kind
     }
 
-    fn insert_negative(
-        &mut self,
+    /// Stores a negative answer for `ttl`, enforcing any configured
+    /// negative-cache budget (see [`Self::set_negative_budget`]).
+    pub(crate) fn insert_negative(
+        &self,
         name: Name,
         rtype: RecordType,
         kind: NegativeKind,
@@ -214,7 +279,9 @@ impl CacheBackend for ShardedCache {
             .insert_negative(name, rtype, kind, ttl, now)
     }
 
-    fn set_negative_budget(&mut self, entries: Option<usize>, bytes: Option<usize>) {
+    /// Configures the negative-cache budget (entries/bytes; `None` =
+    /// unbounded), divided across the shards.
+    pub(crate) fn set_negative_budget(&self, entries: Option<usize>, bytes: Option<usize>) {
         // Divide the budget across shards (rounding up so a nonzero budget
         // never truncates to zero per shard). The shard hash spreads flood
         // names uniformly, so the global bound holds within rounding.
@@ -230,14 +297,20 @@ impl CacheBackend for ShardedCache {
         }
     }
 
-    fn set_stale_retention(&mut self, retention: Option<SimDuration>) {
+    /// Configures how long expired positive entries remain resident for
+    /// serve-stale lookups; `None` evicts at expiry (the default).
+    pub(crate) fn set_stale_retention(&self, retention: Option<SimDuration>) {
         for shard in &self.inner.shards {
             shard.lock().unwrap().cache.set_stale_retention(retention);
         }
     }
 
-    fn with_stale_record<R>(
-        &mut self,
+    /// Looks up the expired-but-retained entry for `(name, rtype)` at
+    /// `now` and passes it to `f`. Without stale retention `f` always
+    /// sees `None`; fresh entries never appear here (they are
+    /// [`Self::with_record`]'s domain).
+    pub(crate) fn with_stale_record<R>(
+        &self,
         name: &Name,
         rtype: RecordType,
         now: SimTime,
@@ -247,164 +320,83 @@ impl CacheBackend for ShardedCache {
         f(shard.cache.get_stale(name, rtype, now))
     }
 
-    fn negative_entries(&mut self) -> usize {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| s.lock().unwrap().cache.negative_len())
-            .sum()
+    /// Negative entries currently stored (flood-pressure introspection).
+    pub(crate) fn negative_entries(&self) -> usize {
+        self.sum_shards(|s| s.cache.negative_len())
     }
 
-    fn purge_data(&mut self, now: SimTime) -> usize {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| s.lock().unwrap().cache.purge_expired(now))
-            .sum()
+    /// Evicts expired data entries; returns how many were evicted.
+    pub(crate) fn purge_data(&self, now: SimTime) -> usize {
+        self.sum_shards(|s| s.cache.purge_expired(now))
     }
 
-    fn data_fresh_rrsets(&mut self, now: SimTime) -> usize {
-        let mut total = 0;
-        for shard in &self.inner.shards {
-            let mut shard = shard.lock().unwrap();
-            let fresh = shard.cache.fresh_len(now);
-            let id = shard.occupancy;
-            shard.obs.observe(id, fresh as u64);
-            total += fresh;
-        }
-        total
+    /// Fresh positive RRsets at `now` (`now` must not move backwards).
+    pub(crate) fn data_fresh_rrsets(&self, now: SimTime) -> usize {
+        self.sum_shards(|s| {
+            let fresh = s.cache.fresh_len(now);
+            s.obs.observe(s.occupancy, fresh as u64);
+            fresh
+        })
     }
 
-    fn data_fresh_records(&mut self, now: SimTime) -> usize {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| s.lock().unwrap().cache.fresh_record_count(now))
-            .sum()
+    /// Individual records across fresh positive RRsets at `now`.
+    pub(crate) fn data_fresh_records(&self, now: SimTime) -> usize {
+        self.sum_shards(|s| s.cache.fresh_record_count(now))
     }
 
-    fn install_root_hints(&mut self, servers: &[(Name, Ipv4Addr)]) {
-        self.inner.infra.lock().unwrap().install_root_hints(servers);
+    // --- infrastructure cache -----------------------------------------
+
+    /// The infrastructure cache, locked. Bind the guard to no name that
+    /// outlives the statement using it: holding it across an upstream
+    /// exchange (or a second `infra()` call) would stall or deadlock.
+    pub(crate) fn infra(&self) -> MutexGuard<'_, InfraCache> {
+        self.inner.infra.lock().unwrap()
     }
 
-    fn with_infra<R>(&mut self, zone: &Name, f: impl FnOnce(Option<&InfraEntry>) -> R) -> R {
-        f(self.inner.infra.lock().unwrap().get(zone))
+    /// Looks up `zone`'s infrastructure entry (fresh or not) and passes it
+    /// to `f`.
+    pub fn with_infra<R>(&self, zone: &Name, f: impl FnOnce(Option<&InfraEntry>) -> R) -> R {
+        f(self.infra().get(zone))
     }
 
-    fn deepest_usable_zone(
-        &mut self,
-        name: &Name,
-        now: SimTime,
-        max_parent_age: Option<SimDuration>,
-    ) -> Option<Name> {
-        self.inner
-            .infra
-            .lock()
-            .unwrap()
-            .deepest_usable_ancestor(name, now, max_parent_age)
-            .map(|e| e.zone.clone())
+    // --- single flight -------------------------------------------------
+
+    /// Claims or joins the in-flight fetch for `(name, rtype)`, or
+    /// refuses it when the target zone's inflight cap is exhausted.
+    pub(crate) fn begin_flight(&self, name: &Name, rtype: RecordType) -> Flight {
+        let flight = self.inner.inflight.join_or_lead(name, rtype);
+        let counter = match flight {
+            Flight::Lead(_) => &self.inner.flights_led,
+            Flight::Shared(_) => &self.inner.flights_shared,
+            Flight::Suppressed => return flight,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        flight
     }
 
-    fn install_infra(
-        &mut self,
-        zone: Name,
-        ns_names: Vec<Name>,
-        addrs: Vec<(Name, Ipv4Addr)>,
-        ttl: Ttl,
-        now: SimTime,
-        source: InfraSource,
-        refresh: bool,
-    ) -> bool {
-        self.inner
-            .infra
-            .lock()
-            .unwrap()
-            .install(zone, ns_names, addrs, ttl, now, source, refresh)
-    }
-
-    fn record_zone_use(&mut self, zone: &Name, now: SimTime, policy: Option<&RenewalPolicy>) {
-        self.inner
-            .infra
-            .lock()
-            .unwrap()
-            .record_use(zone, now, policy);
-    }
-
-    fn consume_renewal_credit(&mut self, zone: &Name) -> Option<InfraEntry> {
-        self.inner
-            .infra
-            .lock()
-            .unwrap()
-            .consume_renewal_credit(zone)
-    }
-
-    fn next_renewal_due(&mut self, upto: SimTime) -> Option<(SimTime, Name)> {
-        self.inner.infra.lock().unwrap().next_renewal_due(upto)
-    }
-
-    fn peek_renewal_due(&mut self) -> Option<SimTime> {
-        self.inner.infra.lock().unwrap().peek_renewal_due()
-    }
-
-    fn take_gap_samples(&mut self) -> Vec<GapSample> {
-        self.inner.infra.lock().unwrap().take_gap_samples()
-    }
-
-    fn set_zone_ds(&mut self, zone: &Name, ds: Vec<(u16, u32)>) {
-        self.inner.infra.lock().unwrap().set_ds(zone, ds);
-    }
-
-    fn promote_zone_address(&mut self, zone: &Name, addr: Ipv4Addr) {
-        self.inner.infra.lock().unwrap().promote_address(zone, addr);
-    }
-
-    fn add_zone_addresses(&mut self, zone: &Name, pairs: &[(Name, Ipv4Addr)]) {
-        self.inner.infra.lock().unwrap().add_addresses(zone, pairs);
-    }
-
-    fn purge_infra_tombstones(&mut self, now: SimTime, retention: SimDuration) -> usize {
-        self.inner
-            .infra
-            .lock()
-            .unwrap()
-            .purge_tombstones(now, retention)
-    }
-
-    fn infra_fresh_zones(&mut self, now: SimTime) -> usize {
-        self.inner.infra.lock().unwrap().fresh_zone_count(now)
-    }
-
-    fn infra_fresh_records(&mut self, now: SimTime) -> usize {
-        self.inner.infra.lock().unwrap().fresh_record_count(now)
-    }
-
-    fn begin_flight(&mut self, name: &Name, rtype: RecordType) -> Flight {
-        match self.inner.inflight.join_or_lead(name, rtype) {
-            Admission::Lead(token) => {
-                self.inner.flights_led.fetch_add(1, Ordering::Relaxed);
-                Flight::Lead(token)
-            }
-            Admission::Shared(outcome) => {
-                self.inner.flights_shared.fetch_add(1, Ordering::Relaxed);
-                Flight::Shared(outcome)
-            }
-            Admission::Suppressed => Flight::Suppressed,
-        }
-    }
-
-    fn set_zone_inflight_cap(&mut self, cap: Option<u32>) {
+    /// Caps concurrent open flights per target-zone bucket; `None` =
+    /// uncapped.
+    pub(crate) fn set_zone_inflight_cap(&self, cap: Option<u32>) {
         self.inner.inflight.set_zone_cap(cap);
     }
+}
 
-    fn obs_registry(&self) -> Option<Registry> {
-        Some(self.merged_registry())
+/// FNV-1a 64-bit over the name's canonical (lowercased, length-prefixed)
+/// suffix bytes.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
+    h
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dns_core::{RData, Record};
+    use std::net::Ipv4Addr;
 
     fn name(s: &str) -> Name {
         s.parse().unwrap()
@@ -419,33 +411,57 @@ mod tests {
         RrSet::from_records(&[rr]).unwrap()
     }
 
+    fn has_record(c: &ShardedCache, owner: &str) -> bool {
+        c.with_record(&name(owner), RecordType::A, SimTime::from_mins(1), |e| {
+            e.is_some()
+        })
+    }
+
     #[test]
-    fn clones_share_state() {
-        let mut a = ShardedCache::new(4);
-        let mut b = a.clone();
-        a.insert_record(
-            a_set("www.x.com", 1),
-            SimTime::ZERO,
-            Credibility::AuthAnswer,
-        );
-        let hit = b.with_record(
-            &name("www.x.com"),
-            RecordType::A,
-            SimTime::from_mins(1),
-            |e| e.is_some(),
-        );
-        assert!(hit);
+    fn clones_share_state_and_forks_copy_it() {
+        for shards in [1, 4] {
+            let a = ShardedCache::with_shards(shards);
+            a.insert_record(
+                a_set("old.x.com", 1),
+                SimTime::ZERO,
+                Credibility::AuthAnswer,
+            );
+            a.set_zone_inflight_cap(Some(1));
+            let (clone, fork) = (a.clone(), a.fork());
+            assert_eq!(fork.shard_count(), shards);
+            assert!(has_record(&fork, "old.x.com"), "the fork starts warm");
+            fork.insert_record(
+                a_set("new.x.com", 2),
+                SimTime::ZERO,
+                Credibility::AuthAnswer,
+            );
+            a.insert_record(
+                a_set("own.x.com", 3),
+                SimTime::ZERO,
+                Credibility::AuthAnswer,
+            );
+            assert!(has_record(&clone, "own.x.com"), "a clone shares the cache");
+            assert!(!has_record(&a, "new.x.com"), "fork writes stay in the fork");
+            assert!(!has_record(&fork, "own.x.com"), "parent writes stay out");
+            // The cap is copied, but not the parent's open flights.
+            let _lead = a.begin_flight(&name("nx1.victim.x"), RecordType::A);
+            let fork_lead = fork.begin_flight(&name("nx2.victim.x"), RecordType::A);
+            assert!(matches!(fork_lead, Flight::Lead(_)));
+            let third = fork.begin_flight(&name("nx3.victim.x"), RecordType::A);
+            assert!(matches!(third, Flight::Suppressed));
+        }
     }
 
     #[test]
     fn shard_count_floors_at_one() {
-        assert_eq!(ShardedCache::new(0).shard_count(), 1);
-        assert_eq!(ShardedCache::new(8).shard_count(), 8);
+        assert_eq!(ShardedCache::new().shard_count(), 1);
+        assert_eq!(ShardedCache::with_shards(0).shard_count(), 1);
+        assert_eq!(ShardedCache::with_shards(8).shard_count(), 8);
     }
 
     #[test]
     fn occupancy_sums_across_shards() {
-        let mut c = ShardedCache::new(8);
+        let c = ShardedCache::with_shards(8);
         for i in 0..20u8 {
             c.insert_record(
                 a_set(&format!("h{i}.x.com"), i),
@@ -462,7 +478,7 @@ mod tests {
 
     #[test]
     fn merged_registry_folds_shard_counters() {
-        let mut c = ShardedCache::new(4);
+        let c = ShardedCache::with_shards(4);
         c.insert_record(a_set("a.x.com", 1), SimTime::ZERO, Credibility::AuthAnswer);
         c.insert_record(a_set("b.y.org", 2), SimTime::ZERO, Credibility::AuthAnswer);
         c.with_record(
@@ -487,7 +503,7 @@ mod tests {
 
     #[test]
     fn same_name_maps_to_same_shard_any_construction() {
-        let c = ShardedCache::new(8);
+        let c = ShardedCache::with_shards(8);
         let parsed = name("WWW.Example.COM");
         let lower = name("www.example.com");
         let a = std::ptr::from_ref(c.shard_for(&parsed));

@@ -56,8 +56,8 @@ fn out_of_bailiwick_records_are_not_cached() {
     let _ = cs.resolve_a(&name("www.victim.com"), SimTime::ZERO, &mut evil);
     // The forged answer must not be served to clients.
     assert!(cs
-        .cache()
-        .get(&name("victim.com"), RecordType::A, SimTime::from_secs(1))
+        .backend()
+        .record_expiry(&name("victim.com"), RecordType::A, SimTime::from_secs(1))
         .is_none());
 }
 
@@ -132,8 +132,8 @@ fn mismatched_transaction_id_is_ignored() {
     let out = cs.resolve_a(&name("www.victim.com"), SimTime::ZERO, &mut forger);
     assert!(out.is_failure());
     assert!(cs
-        .cache()
-        .get(
+        .backend()
+        .record_expiry(
             &name("www.victim.com"),
             RecordType::A,
             SimTime::from_secs(1)
@@ -238,8 +238,10 @@ fn forged_infrastructure_above_bailiwick_rejected() {
     assert!(out.is_success());
     // Root hints are untouched: the hijacked NS set was above com's
     // bailiwick (and root hints are never replaced anyway).
-    let root_entry = cs.infra().get(&Name::root()).unwrap();
-    assert_eq!(root_entry.addrs[0].1, Ipv4Addr::new(198, 41, 0, 4));
+    let root_addr = cs
+        .backend()
+        .with_infra(&Name::root(), |e| e.unwrap().addrs[0].1);
+    assert_eq!(root_addr, Ipv4Addr::new(198, 41, 0, 4));
 }
 
 #[test]

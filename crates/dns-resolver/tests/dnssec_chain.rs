@@ -159,8 +159,10 @@ fn signed_delegation_validates_secure() {
     let mut cs = CachingServer::new(ResolverConfig::with_refresh(), hints);
     // Prime: the referral through edu installs ucla's NS + DS.
     cs.resolve_a(&name("www.ucla.edu"), SimTime::ZERO, &mut net);
-    let entry = cs.infra().get(&name("ucla.edu")).unwrap();
-    assert_eq!(entry.ds, vec![(UCLA_TAG, synthetic_key_digest(UCLA_KEY))]);
+    let ds = cs
+        .backend()
+        .with_infra(&name("ucla.edu"), |e| e.unwrap().ds.clone());
+    assert_eq!(ds, vec![(UCLA_TAG, synthetic_key_digest(UCLA_KEY))]);
     assert_eq!(
         cs.validate_zone(&name("ucla.edu"), SimTime::from_mins(1), &mut net),
         SecureStatus::Secure
@@ -172,7 +174,9 @@ fn unsigned_delegation_is_insecure() {
     let (mut net, hints) = build_net();
     let mut cs = CachingServer::new(ResolverConfig::with_refresh(), hints);
     cs.resolve_a(&name("www.mit.edu"), SimTime::ZERO, &mut net);
-    assert!(cs.infra().get(&name("mit.edu")).unwrap().ds.is_empty());
+    assert!(cs
+        .backend()
+        .with_infra(&name("mit.edu"), |e| e.unwrap().ds.is_empty()));
     assert_eq!(
         cs.validate_zone(&name("mit.edu"), SimTime::from_mins(1), &mut net),
         SecureStatus::Insecure

@@ -375,9 +375,9 @@ fn renewal_keeps_zone_alive_without_demand() {
     assert_eq!(cs.metrics().renewals_ok, 3);
 
     // 47h: 36h renewal + 12h TTL = fresh until 48h → still resolvable.
-    // (Probe on a clone: a real demand query would re-grant credit.)
+    // (Probe on a fork: a real demand query would re-grant credit.)
     let out = cs
-        .clone()
+        .fork()
         .resolve_a(&name("www.ucla.edu"), SimTime::from_hours(47), &mut net);
     assert!(out.is_success(), "got {out}");
 

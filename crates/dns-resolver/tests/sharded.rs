@@ -1,15 +1,12 @@
-//! Concurrency tests for the sharded cache backend: single-flight
-//! coalescing under a thundering herd of identical queries, and
-//! shard-count invariance (the shard count is a performance knob, never
-//! a behavior knob).
+//! Concurrency tests for the shared cache: single-flight coalescing under
+//! a thundering herd of identical queries, and shard-count invariance
+//! (the shard count is a performance knob, never a behavior knob).
 
 use dns_auth::AuthServer;
 use dns_core::{
     Delegation, Message, Name, Question, RData, Record, RecordType, SimTime, Ttl, ZoneBuilder,
 };
-use dns_resolver::{
-    CacheBackend, CachingServer, Outcome, ResolverConfig, RootHints, ShardedCache, Upstream,
-};
+use dns_resolver::{CachingServer, Outcome, ResolverConfig, RootHints, Upstream};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -156,8 +153,7 @@ fn herd_of_identical_queries_fetches_upstream_exactly_once() {
         fetches: Arc::clone(&solo_fetches),
         delay: Duration::ZERO,
     };
-    let mut solo =
-        CachingServer::with_backend(coalescing_config(1, 4), hints.clone(), ShardedCache::new(4));
+    let mut solo = CachingServer::new(coalescing_config(1, 4), hints.clone());
     let question = Question::new(name("www.ucla.edu"), RecordType::A);
     let solo_outcome = solo.resolve(&question, SimTime::from_mins(1), &mut solo_up);
     let per_resolution = solo_fetches.load(Ordering::SeqCst);
@@ -167,35 +163,32 @@ fn herd_of_identical_queries_fetches_upstream_exactly_once() {
         "fixture must resolve: {solo_outcome:?}"
     );
 
-    // Now the herd: N workers, one shared backend, same question, a
-    // barrier so they arrive together, and a slow upstream so the
-    // followers arrive while the leader's walk is still in flight.
+    // Now the herd: N sibling servers over one shared cache, same
+    // question, a barrier so they arrive together, and a slow upstream so
+    // the followers arrive while the leader's walk is still in flight.
     const WORKERS: usize = 8;
     let (net, hints) = build_net();
     let net = Arc::new(Mutex::new(net));
     let fetches = Arc::new(AtomicU64::new(0));
-    let backend = ShardedCache::new(4);
+    let first = CachingServer::new(coalescing_config(100, 4), hints);
+    let backend = first.backend().clone();
+    let mut servers: Vec<CachingServer> = (1..WORKERS)
+        .map(|w| first.sibling(100 + w as u64))
+        .collect();
+    servers.push(first);
     let barrier = Arc::new(Barrier::new(WORKERS));
 
     let outcomes: Vec<Outcome> = std::thread::scope(|scope| {
         let mut handles = Vec::new();
-        for w in 0..WORKERS {
-            let upstream = SlowCountingNet {
+        for mut cs in servers {
+            let mut upstream = SlowCountingNet {
                 net: Arc::clone(&net),
                 fetches: Arc::clone(&fetches),
                 delay: Duration::from_millis(30),
             };
-            let backend = backend.clone();
-            let hints = hints.clone();
             let barrier = Arc::clone(&barrier);
             let question = question.clone();
             handles.push(scope.spawn(move || {
-                let mut cs = CachingServer::with_backend(
-                    coalescing_config(100 + w as u64, 4),
-                    hints,
-                    backend,
-                );
-                let mut upstream = upstream;
                 barrier.wait();
                 cs.resolve(&question, SimTime::from_mins(1), &mut upstream)
             }));
@@ -247,11 +240,8 @@ fn shard_count_does_not_change_answers() {
 
     let run = |shards: usize| -> Vec<Outcome> {
         let (mut net, hints) = build_net();
-        let mut cs = CachingServer::with_backend(
-            coalescing_config(7, shards),
-            hints,
-            ShardedCache::new(shards),
-        );
+        let mut cs = CachingServer::new(coalescing_config(7, shards), hints);
+        assert_eq!(cs.backend().shard_count(), shards);
         questions
             .iter()
             .enumerate()
@@ -275,43 +265,4 @@ fn shard_count_does_not_change_answers() {
         ),
         "repeat query must be served from the shared cache"
     );
-}
-
-/// The sharded backend and the default local backend resolve
-/// identically: the backend API is a pure seam.
-#[test]
-fn sharded_backend_matches_local_backend() {
-    let questions = [
-        Question::new(name("www.ucla.edu"), RecordType::A),
-        Question::new(name("web.ucla.edu"), RecordType::A),
-        Question::new(name("nowhere.ucla.edu"), RecordType::A),
-        Question::new(name("www.com"), RecordType::A),
-    ];
-
-    let (mut net, hints) = build_net();
-    let mut local = CachingServer::new(ResolverConfig::vanilla(), hints.clone());
-    let local_outcomes: Vec<Outcome> = questions
-        .iter()
-        .enumerate()
-        .map(|(i, q)| local.resolve(q, SimTime::from_mins(i as u64), &mut net))
-        .collect();
-
-    let (mut net, hints) = build_net();
-    let mut sharded =
-        CachingServer::with_backend(coalescing_config(1, 8), hints, ShardedCache::new(8));
-    let sharded_outcomes: Vec<Outcome> = questions
-        .iter()
-        .enumerate()
-        .map(|(i, q)| sharded.resolve(q, SimTime::from_mins(i as u64), &mut net))
-        .collect();
-
-    assert_eq!(local_outcomes, sharded_outcomes);
-    // The sharded backend's registry reflects the traffic it absorbed.
-    let reg = sharded.backend().obs_registry().expect("sharded registry");
-    let inserts: u64 = reg
-        .render_compact()
-        .iter()
-        .find_map(|line| line.strip_prefix("shard_record_inserts=")?.parse().ok())
-        .expect("insert counter");
-    assert!(inserts > 0, "resolutions must populate the shared cache");
 }

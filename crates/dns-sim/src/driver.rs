@@ -4,8 +4,7 @@
 use crate::{CompiledAttack, ServerFarm, SimNet};
 use dns_core::{SimDuration, SimTime, Ttl};
 use dns_resolver::{
-    CacheBackend, CachingServer, GapSample, LocalBackend, OccupancySample, ResolverConfig,
-    ResolverMetrics, RootHints,
+    CachingServer, GapSample, OccupancySample, ResolverConfig, ResolverMetrics, RootHints,
 };
 use dns_trace::{QueryEvent, QueryStream, Trace, TraceCursor, Universe};
 use std::fmt;
@@ -212,40 +211,24 @@ impl Feed {
     }
 }
 
-impl Clone for Feed {
-    /// Materialized feeds clone for free (`Arc` bump); streaming feeds
-    /// cannot (`Box<dyn QueryStream>`) — fork a streaming simulation via
-    /// [`Simulation::fork_streaming`] with a resumed stream instead.
-    fn clone(&self) -> Feed {
-        match self {
-            Feed::Trace { trace, pos } => Feed::Trace {
-                trace: Arc::clone(trace),
-                pos: *pos,
-            },
-            Feed::Stream(_) => panic!(
-                "a streaming simulation cannot be cloned; resume a stream \
-                 from stream_cursor() and call fork_streaming()"
-            ),
-        }
-    }
-}
-
 /// A deterministic trace replay: one caching server resolving a trace's
 /// queries against the universe's server farm, with renewal timers firing
 /// between queries.
 ///
 /// Replay can be paused at any virtual time ([`Simulation::run_until`])
 /// and forked ([`Simulation::fork`]); the attack-duration sweeps share a
-/// single warmed-up simulation this way.
+/// single warmed-up simulation this way. Forks deep-copy the caching
+/// server ([`CachingServer::fork`]); the type is not `Clone`, so no copy
+/// can share its cache with the original.
 ///
 /// The query source is either a materialized [`Trace`] or a boxed
 /// [`QueryStream`] ([`Simulation::shared_streaming`]) replayed with a
 /// lookahead of one event; streamed replay never holds the trace in
 /// memory.
-#[derive(Debug, Clone)]
-pub struct Simulation<B: CacheBackend = LocalBackend> {
+#[derive(Debug)]
+pub struct Simulation {
     config: SimConfig,
-    cs: CachingServer<B>,
+    cs: CachingServer,
     net: SimNet,
     feed: Feed,
     now: SimTime,
@@ -307,7 +290,7 @@ impl Simulation {
         trace: Arc<Trace>,
         config: SimConfig,
     ) -> Self {
-        Simulation::shared_with_backend(farm, universe, trace, config, LocalBackend::new())
+        Simulation::build(farm, universe, Feed::Trace { trace, pos: 0 }, config)
     }
 
     /// Builds a streaming replay: queries are pulled from `stream` one
@@ -327,45 +310,22 @@ impl Simulation {
         stream: Box<dyn QueryStream>,
         config: SimConfig,
     ) -> Self {
-        let hints = RootHints::new(universe.root_servers().to_vec());
-        let cs = CachingServer::with_backend(config.resolver, hints, LocalBackend::new());
-        let next_occupancy = config.occupancy_interval.map(|_| SimTime::ZERO);
-        let next_purge = SimTime::ZERO + config.purge_interval;
-        Simulation {
-            config,
-            cs,
-            net: SimNet::with_shared(farm),
-            feed: Feed::Stream(StreamFeed::new(stream)),
-            now: SimTime::ZERO,
-            occupancy: Vec::new(),
-            next_occupancy,
-            next_purge,
-            adversary: AdversaryStats::default(),
-        }
+        let feed = Feed::Stream(StreamFeed::new(stream));
+        Simulation::build(farm, universe, feed, config)
     }
-}
 
-impl<B: CacheBackend> Simulation<B> {
-    /// Like [`Simulation::shared`], over an explicit cache backend — the
-    /// entry point for replaying a trace against a shared
-    /// [`ShardedCache`](dns_resolver::ShardedCache), e.g. from several
-    /// threads replaying disjoint trace slices against one cache.
-    pub fn shared_with_backend(
-        farm: Arc<ServerFarm>,
-        universe: &Universe,
-        trace: Arc<Trace>,
-        config: SimConfig,
-        backend: B,
-    ) -> Self {
+    /// A fresh replay of `feed` by a caching server seeded with the
+    /// universe's root hints.
+    fn build(farm: Arc<ServerFarm>, universe: &Universe, feed: Feed, config: SimConfig) -> Self {
         let hints = RootHints::new(universe.root_servers().to_vec());
-        let cs = CachingServer::with_backend(config.resolver, hints, backend);
+        let cs = CachingServer::new(config.resolver, hints);
         let next_occupancy = config.occupancy_interval.map(|_| SimTime::ZERO);
         let next_purge = SimTime::ZERO + config.purge_interval;
         Simulation {
             config,
             cs,
             net: SimNet::with_shared(farm),
-            feed: Feed::Trace { trace, pos: 0 },
+            feed,
             now: SimTime::ZERO,
             occupancy: Vec::new(),
             next_occupancy,
@@ -400,13 +360,13 @@ impl<B: CacheBackend> Simulation<B> {
     }
 
     /// The caching server under test.
-    pub fn cs(&self) -> &CachingServer<B> {
+    pub fn cs(&self) -> &CachingServer {
         &self.cs
     }
 
     /// Mutable access to the caching server (occupancy sampling advances
     /// cache expiry heaps, so it needs `&mut`).
-    pub fn cs_mut(&mut self) -> &mut CachingServer<B> {
+    pub fn cs_mut(&mut self) -> &mut CachingServer {
         &mut self.cs
     }
 
@@ -465,32 +425,26 @@ impl<B: CacheBackend> Simulation<B> {
     /// Panics on a streaming replay (the stream cannot be cloned); use
     /// [`Simulation::fork_streaming`] with a stream resumed from
     /// [`Simulation::stream_cursor`] instead.
-    pub fn fork(&self) -> Simulation<B>
-    where
-        B: Clone,
-    {
-        self.clone()
+    pub fn fork(&self) -> Simulation {
+        let Feed::Trace { trace, pos } = &self.feed else {
+            panic!(
+                "a streaming simulation cannot be forked in place; resume a stream \
+                 from stream_cursor() and call fork_streaming()"
+            );
+        };
+        let feed = Feed::Trace {
+            trace: Arc::clone(trace),
+            pos: *pos,
+        };
+        self.fork_onto(feed)
     }
 
     /// Forks a streaming replay: an independent copy of the warmed-up
     /// state that continues from `stream` — normally one resumed from
     /// [`Simulation::stream_cursor`] so the fork replays exactly the
     /// queries this simulation has not yet processed.
-    pub fn fork_streaming(&self, stream: Box<dyn QueryStream>) -> Simulation<B>
-    where
-        B: Clone,
-    {
-        Simulation {
-            config: self.config.clone(),
-            cs: self.cs.clone(),
-            net: self.net.clone(),
-            feed: Feed::Stream(StreamFeed::new(stream)),
-            now: self.now,
-            occupancy: self.occupancy.clone(),
-            next_occupancy: self.next_occupancy,
-            next_purge: self.next_purge,
-            adversary: self.adversary,
-        }
+    pub fn fork_streaming(&self, stream: Box<dyn QueryStream>) -> Simulation {
+        self.fork_onto(Feed::Stream(StreamFeed::new(stream)))
     }
 
     /// Forks a materialized replay onto a *different* trace: an
@@ -498,15 +452,17 @@ impl<B: CacheBackend> Simulation<B> {
     /// its start (event timestamps are absolute, so the caller passes
     /// the unreplayed tail — typically with adversary events merged in,
     /// see [`crate::adversary::merge_into_tail`]).
-    pub fn fork_with_trace(&self, trace: Arc<Trace>) -> Simulation<B>
-    where
-        B: Clone,
-    {
+    pub fn fork_with_trace(&self, trace: Arc<Trace>) -> Simulation {
+        self.fork_onto(Feed::Trace { trace, pos: 0 })
+    }
+
+    /// The warmed-up state, deep-copied, continuing from `feed`.
+    fn fork_onto(&self, feed: Feed) -> Simulation {
         Simulation {
             config: self.config.clone(),
-            cs: self.cs.clone(),
+            cs: self.cs.fork(),
             net: self.net.clone(),
-            feed: Feed::Trace { trace, pos: 0 },
+            feed,
             now: self.now,
             occupancy: self.occupancy.clone(),
             next_occupancy: self.next_occupancy,
@@ -583,7 +539,7 @@ impl<B: CacheBackend> Simulation<B> {
     }
 }
 
-impl<B: CacheBackend> fmt::Display for Simulation<B> {
+impl fmt::Display for Simulation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,

@@ -4,9 +4,9 @@
 use dns_core::{SimDuration, SimTime, Ttl};
 use dns_resolver::{RenewalPolicy, ResolverConfig};
 use dns_sim::{AttackScenario, SimConfig, Simulation};
-use dns_trace::{Trace, Universe, UniverseSpec, WorkloadBuilder};
+use dns_trace::{Trace, Universe, UniverseSpec, UniverseTargets, WorkloadBuilder};
 use proptest::prelude::*;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// One shared small universe — generation is deterministic, so sharing it
 /// across cases only saves time.
@@ -29,8 +29,12 @@ fn arb_config() -> impl Strategy<Value = ResolverConfig> {
     ]
 }
 
+fn workload(queries: u64) -> WorkloadBuilder {
+    WorkloadBuilder::new("prop", 2, 5, queries)
+}
+
 fn trace(seed: u64, queries: u64) -> Trace {
-    WorkloadBuilder::new("prop", 2, 5, queries).generate(universe(), seed)
+    workload(queries).generate(universe(), seed)
 }
 
 proptest! {
@@ -67,21 +71,49 @@ proptest! {
         prop_assert_eq!(sim.metrics().failed_out, 0);
     }
 
-    /// Forks are perfect copies: running the original and the fork from
-    /// the same point yields identical counters.
+    /// Forks are perfect, independent copies: a fork run to the end from
+    /// the pause point yields exactly the counters the original then
+    /// yields. The fork runs first, so a fork sharing the original's
+    /// cache would warm it and fail the comparison. Covers every fork
+    /// flavour: in place, onto a stream resumed from `stream_cursor()`,
+    /// and onto the materialized tail.
     #[test]
     fn fork_is_deterministic(seed in 0u64..1_000) {
+        let config = || SimConfig::new(ResolverConfig::with_refresh());
+        let pause = SimTime::from_days(1);
         let t = trace(seed, 600);
-        let mut sim = Simulation::new(
-            universe(),
-            t,
-            SimConfig::new(ResolverConfig::with_refresh()),
-        );
-        sim.run_until(SimTime::from_days(1));
+
+        let mut sim = Simulation::new(universe(), t.clone(), config());
+        sim.run_until(pause);
         let mut fork = sim.fork();
-        sim.run_to_end();
         fork.run_to_end();
-        prop_assert_eq!(sim.metrics(), fork.metrics());
+        sim.run_to_end();
+        let reference = sim.metrics();
+        prop_assert_eq!(fork.metrics(), reference);
+
+        let targets = UniverseTargets::new(universe());
+        let stream = Box::new(workload(600).stream(targets.clone(), seed));
+        let mut sim = Simulation::streaming(universe(), stream, config());
+        sim.run_until(pause);
+        let cursor = sim.stream_cursor().expect("streaming feed has a cursor");
+        let resumed = Box::new(workload(600).resume(targets, seed, &cursor));
+        let mut fork = sim.fork_streaming(resumed);
+        fork.run_to_end();
+        sim.run_to_end();
+        prop_assert_eq!(fork.metrics(), reference);
+        prop_assert_eq!(sim.metrics(), reference);
+
+        let mut sim = Simulation::new(universe(), t.clone(), config());
+        sim.run_until(pause);
+        let tail = Trace {
+            queries: t.queries[sim.processed()..].to_vec(),
+            ..t
+        };
+        let mut fork = sim.fork_with_trace(Arc::new(tail));
+        fork.run_to_end();
+        sim.run_to_end();
+        prop_assert_eq!(fork.metrics(), reference);
+        prop_assert_eq!(sim.metrics(), reference);
     }
 
     /// An attack never *reduces* client-visible failures, and removing it

@@ -46,8 +46,8 @@ pub use dns_trace as trace;
 pub mod prelude {
     pub use dns_core::{Name, Question, RecordType, SimDuration, SimTime, Ttl};
     pub use dns_resolver::{
-        CacheBackend, CachingServer, InfraCache, LocalBackend, RecordCache, RenewalPolicy,
-        ResolverConfig, ResolverConfigBuilder, RetryPolicy, RootHints, ShardedCache,
+        CachingServer, InfraCache, RecordCache, RenewalPolicy, ResolverConfig,
+        ResolverConfigBuilder, RetryPolicy, RootHints, ShardedCache,
     };
     pub use dns_sim::experiment::{paper_durations, Scheme, ATTACK_START_DAY};
     pub use dns_sim::{

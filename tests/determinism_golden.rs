@@ -188,56 +188,34 @@ fn latency_transcript(outcome: &SweepOutcome) -> String {
     out
 }
 
-/// Canonical per-run transcript for backend-equivalence checks: every
-/// resolver counter plus the modelled latency histogram, via `{:?}`
-/// (shortest-roundtrip, so equality implies bit-equality).
-fn replay_transcript<B: CacheBackend>(sim: &Simulation<B>) -> String {
-    format!("{:?}|{:?}", sim.metrics(), sim.cs().latency_histogram())
-}
-
-/// The cache backend is a pure seam: replaying the heaviest scheme
-/// (combined refresh + A-LFU renewal + long TTL) over a
-/// `ShardedCache::new(1)` with single-flight coalescing enabled must
-/// produce a byte-identical transcript to the default [`LocalBackend`]
-/// replay. Pins the sharded backend to the golden behavior with the
-/// smallest possible shard count, where any divergence (extra cache
-/// probes, RNG consumption, flight bookkeeping) would surface.
+/// Single-flight coalescing is a pure seam for one thread: replaying the
+/// heaviest scheme (combined refresh + A-LFU renewal + long TTL) over a
+/// one-shard cache with coalescing enabled must produce a byte-identical
+/// transcript to the same replay with coalescing off. Any divergence
+/// (extra cache probes, RNG consumption, flight bookkeeping) would
+/// surface here.
 #[test]
-fn sharded_backend_replay_matches_local_backend() {
-    use dns_resilience::resolver::ShardedCache;
+fn one_shard_coalescing_replay_matches_uncoalesced() {
     use std::sync::Arc;
 
     let universe = UniverseSpec::small().build(7);
     let trace = Arc::new(TraceSpec::demo().scaled(0.1).generate(&universe, 42));
     let scheme = Scheme::combined(RenewalPolicy::adaptive_lfu(3), Ttl::from_days(3));
     let farm = Arc::new(ServerFarm::build(&universe, scheme.long_ttl));
-
-    let mut local = Simulation::shared(
-        Arc::clone(&farm),
-        &universe,
-        Arc::clone(&trace),
-        scheme.sim_config(),
-    );
-    local.run_to_end();
-
-    let resolver = scheme
-        .resolver
-        .to_builder()
-        .shards(1)
-        .coalesce(true)
-        .build();
-    let mut config = SimConfig::new(resolver);
-    if let Some(ttl) = scheme.long_ttl {
-        config = config.long_ttl(ttl);
-    }
-    let mut sharded =
-        Simulation::shared_with_backend(farm, &universe, trace, config, ShardedCache::new(1));
-    sharded.run_to_end();
-
+    let replay = |coalesce: bool| {
+        let mut config = scheme.sim_config();
+        config.resolver = config.resolver.to_builder().coalesce(coalesce).build();
+        assert_eq!(config.resolver.shards, 1);
+        let mut sim = Simulation::shared(Arc::clone(&farm), &universe, Arc::clone(&trace), config);
+        sim.run_to_end();
+        // Every resolver counter plus the modelled latency histogram, via
+        // `{:?}` (shortest-roundtrip, so equality implies bit-equality).
+        format!("{:?}|{:?}", sim.metrics(), sim.cs().latency_histogram())
+    };
     assert_eq!(
-        replay_transcript(&local),
-        replay_transcript(&sharded),
-        "sharded backend (1 shard, coalescing on) diverged from the local backend"
+        replay(false),
+        replay(true),
+        "one-shard replay with coalescing on diverged from coalescing off"
     );
 }
 
