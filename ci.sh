@@ -1,16 +1,19 @@
 #!/usr/bin/env sh
-# Repo gate: formatting, lints, the full test suite, and an end-to-end
-# smoke run of one figure binary on a tiny workload.
+# Repo gate: formatting, lints, the full test suite, then twelve smoke
+# steps: the tracked BENCH_scale.json / BENCH_stale.json gates; reduced
+# runs of the bench_scale, fig4, adversarial and stale binaries; both
+# netd playground tours; the obs, adversarial, wire fast-lane and
+# serve-stale integration suites; and perfbench's self-tests.
 #
 #   ./ci.sh            # everything (a few minutes)
-#   ./ci.sh smoke      # just the figure smoke run
+#   ./ci.sh smoke      # the twelve smoke steps only
 set -eu
 
 smoke() {
     echo "== tracked BENCH files present and gated =="
     # The perf trajectory is tracked in-repo; a missing file means a bench
     # was added without committing its baseline (or one was deleted).
-    for f in BENCH_resolve.json BENCH_scale.json BENCH_stale.json; do
+    for f in BENCH_scale.json BENCH_stale.json; do
         test -s "$f" || { echo "tracked bench file missing: $f" >&2; exit 1; }
     done
     # Scale-axis gates on the tracked full run: every schema field
@@ -88,41 +91,6 @@ smoke() {
         test -s "$out/$f.csv" || { echo "missing $out/$f.csv" >&2; exit 1; }
     done
     rm -rf "$out"
-
-    echo "== smoke: bench_resolve on a tiny trace =="
-    # Replays a reduced seeded trace through the full simulation and checks
-    # that the emitted perf baseline is well-formed: every schema field
-    # present, qps positive, and the hot paths still allocation-free.
-    bench_out=$(mktemp -d)
-    DNS_BENCH_SCALE=0.05 DNS_BENCH_OUT="$bench_out/bench.json" \
-        cargo run --release -p dns-bench --bin bench_resolve --offline
-    test -s "$bench_out/bench.json" || { echo "missing bench.json" >&2; exit 1; }
-    for field in bench schema_version scheme trace scale queries wall_secs \
-        qps allocs_per_query bytes_per_query name_clone_parent_allocs_per_op \
-        warm_get_allocs_per_op wire_qps wire_allocs_per_query peak_rss_kb \
-        mt_qps_1 mt_qps_2 mt_qps_4 mt_qps_8 \
-        mt_allocs_per_query_1 mt_allocs_per_query_2 \
-        mt_allocs_per_query_4 mt_allocs_per_query_8; do
-        grep -q "\"$field\"" "$bench_out/bench.json" \
-            || { echo "bench.json missing field: $field" >&2; exit 1; }
-    done
-    awk -F': *' '/"qps"/ { qps = $2 + 0 }
-        END { if (qps <= 0) { print "bench.json: qps not positive" > "/dev/stderr"; exit 1 } }' \
-        "$bench_out/bench.json"
-    for mt in wire_qps mt_qps_1 mt_qps_2 mt_qps_4 mt_qps_8; do
-        awk -F': *' -v f="\"$mt\"" '$0 ~ f { v = $2 + 0 }
-            END { if (v <= 0) { print f ": not positive" > "/dev/stderr"; exit 1 } }' \
-            "$bench_out/bench.json"
-    done
-    # wire_allocs_per_query gates the fast lane: a wire-cache hit must be
-    # served with zero allocations end to end (parse, key, patch, copy).
-    for probe in name_clone_parent_allocs_per_op warm_get_allocs_per_op \
-        wire_allocs_per_query; do
-        awk -F': *' -v probe="\"$probe\"" '$0 ~ probe { v = $2 + 0 }
-            END { if (v != 0) { print probe ": hot path allocates" > "/dev/stderr"; exit 1 } }' \
-            "$bench_out/bench.json"
-    done
-    rm -rf "$bench_out"
 
     echo "== smoke: netd playground under 10% injected loss =="
     # Boots the loopback internet, resolves through the retry policy with

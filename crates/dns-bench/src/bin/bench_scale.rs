@@ -25,8 +25,8 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
 
-/// Allocation counter maintained by the global allocator below (same
-/// pattern as `bench_resolve`; only bench builds pay for it).
+/// Allocation counter maintained by the global allocator below (only
+/// this binary pays for it; the library crates are untouched).
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 struct CountingAlloc;

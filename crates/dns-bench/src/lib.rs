@@ -1,4 +1,4 @@
-//! Shared plumbing for the experiment binaries and Criterion benches.
+//! Shared plumbing for the experiment binaries.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the paper
 //! (see `DESIGN.md` §4 for the index). They all follow the same recipe:

@@ -69,13 +69,16 @@ impl fmt::Display for DaemonStats {
 #[derive(Debug, Default)]
 struct Health {
     failed: AtomicBool,
-    last_error: Mutex<Option<String>>,
+    first_error: Mutex<Option<String>>,
 }
 
 impl Health {
     fn record(&self, context: &str, e: &io::Error) {
         self.failed.store(true, Ordering::Relaxed);
-        *self.last_error.lock().unwrap() = Some(format!("{context}: {e}"));
+        self.first_error
+            .lock()
+            .expect("no thread panics while holding the health lock")
+            .get_or_insert_with(|| format!("{context}: {e}"));
     }
 }
 
@@ -210,10 +213,18 @@ impl Shared {
 /// A running recursive resolver daemon.
 ///
 /// Clients send standard DNS queries; the daemon resolves them through
-/// its [`CachingServer`]s (all resilience schemes apply — the cache is the
-/// same code the simulator evaluates) and answers with the outcome:
-/// answers as-is, NXDOMAIN/NODATA as negative responses, and resolution
-/// failure as SERVFAIL.
+/// its [`CachingServer`]s (the cache is the same code the simulator
+/// evaluates) and answers with the outcome: answers as-is, NXDOMAIN/NODATA
+/// as negative responses, and resolution failure as SERVFAIL.
+///
+/// The schemes that act inside [`CachingServer::resolve`] apply here as in
+/// the simulator: TTL refresh, the long-TTL override, serve-stale,
+/// proactive refresh, learned prefetch and the defense policy. TTL
+/// renewal and the periodic purge do not: the daemon never calls
+/// [`CachingServer::run_renewals_until`] or [`CachingServer::purge`], so
+/// renewal credits accrue but never fire and expired entries are not
+/// evicted. The simulator runs both between queries; moving that loop
+/// into the daemon is the ROADMAP's "one maintenance loop" item.
 ///
 /// The daemon runs a small worker pool ([`Resolved::spawn_pool`]): every
 /// worker drains the shared UDP socket in batches through [`PacketIo`]
@@ -396,7 +407,12 @@ impl Resolved {
 
     /// The first fatal error a worker recorded, if any.
     pub fn last_error(&self) -> Option<String> {
-        self.shared.health.last_error.lock().unwrap().clone()
+        self.shared
+            .health
+            .first_error
+            .lock()
+            .expect("no thread panics while holding the health lock")
+            .clone()
     }
 
     /// Daemon-side counters (socket-level; resolver counters are in
@@ -773,13 +789,12 @@ mod tests {
         assert!(!health.failed.load(Ordering::Relaxed));
         health.record("recv", &io::Error::other("boom"));
         assert!(health.failed.load(Ordering::Relaxed));
-        assert!(health
-            .last_error
-            .lock()
-            .unwrap()
-            .as_deref()
-            .unwrap()
-            .contains("boom"));
+        // A second worker failing on the same socket keeps the first error.
+        health.record("send", &io::Error::other("later"));
+        assert_eq!(
+            health.first_error.lock().unwrap().as_deref(),
+            Some("recv: boom")
+        );
     }
 
     #[test]

@@ -8,12 +8,12 @@
 //!    of the bucket holding the model's answer, so the relative error is
 //!    bounded by the bucket's 12.5% width).
 //! 2. merge is associative and commutative.
-//! 3. the record / quantile / merge / diff paths perform zero
-//!    allocations, enforced by a counting global allocator that counts
-//!    per thread, so the proptests running beside a guard on other test
-//!    threads do not show up in its count.
+//! 3. the record / quantile / merge / diff paths, and a registry's
+//!    `clone_from`, perform zero allocations, enforced by a counting
+//!    global allocator that counts per thread, so the proptests running
+//!    beside a guard on other test threads do not show up in its count.
 
-use dns_obs::LogHistogram;
+use dns_obs::{LogHistogram, Registry};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -213,4 +213,23 @@ fn clone_preallocates_then_record_is_alloc_free() {
         std::hint::black_box(snap.diff(&orig).count());
     });
     assert_eq!(allocs, 0, "clone+record+diff allocated");
+}
+
+#[test]
+fn registry_clone_from_is_alloc_free() {
+    // The daemon publishes each worker's registry into its panel this
+    // way after every resolution.
+    let mut reg = Registry::new();
+    let queries = reg.counter("queries_total", "Queries seen");
+    let latency = reg.histogram("latency_ns", "Latency in nanoseconds");
+    let mut panel = reg.clone();
+    let mut allocs = 0;
+    for v in 0..1000u64 {
+        reg.inc(queries);
+        reg.observe(latency, v);
+        allocs += allocs_during(|| panel.clone_from(&reg));
+    }
+    assert_eq!(allocs, 0, "Registry::clone_from allocated");
+    assert_eq!(panel.counter_value(queries), 1000);
+    assert_eq!(panel.hist(latency), reg.hist(latency));
 }
