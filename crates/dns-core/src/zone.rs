@@ -4,6 +4,7 @@ use crate::{DnsError, Name, RData, Record, RecordType, RrKey, RrKeyView, RrSet, 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::net::Ipv4Addr;
+use std::ops::Bound;
 
 /// A delegation point inside a zone: the child zone's NS set as stored at
 /// the *parent*, plus any glue address records.
@@ -121,9 +122,16 @@ impl Zone {
         self.records.get(&(name, rtype) as &dyn RrKeyView)
     }
 
-    /// Whether any RRset exists at `name`.
+    /// Whether any RRset exists at `name`: authoritative data, a
+    /// delegation cut or delegation glue.
     pub fn name_exists(&self, name: &Name) -> bool {
-        self.records.keys().any(|k| &k.name == name)
+        // `records` is ordered name-first and `A` is the smallest type, so
+        // the first key at or after `(name, A)` is at `name` iff any is.
+        let first: &dyn RrKeyView = &(name, RecordType::A);
+        self.records
+            .range::<dyn RrKeyView, _>((Bound::Included(first), Bound::Unbounded))
+            .next()
+            .is_some_and(|(k, _)| &k.name == name)
             || self
                 .delegations
                 .values()

@@ -1,8 +1,8 @@
 //! Property-based tests for the core data model and wire codec.
 
 use dns_core::{
-    wire, Header, Label, Message, Name, NameBuilder, Opcode, Question, RData, Rcode, Record,
-    RecordType, Ttl,
+    wire, Delegation, Header, Label, Message, Name, NameBuilder, Opcode, Question, RData, Rcode,
+    Record, RecordType, Ttl, Zone, ZoneBuilder,
 };
 use proptest::prelude::*;
 use std::net::{Ipv4Addr, Ipv6Addr};
@@ -348,5 +348,113 @@ proptest! {
         prop_assert!(
             Ttl::from_secs(lo).expires_at(at) <= Ttl::from_secs(hi).expires_at(at)
         );
+    }
+}
+
+/// A small name pool so a zone's records, cuts, glue and probes collide:
+/// index 0 is the apex `z.example`, 1..=12 lie one or two labels below it
+/// and 13..=14 lie outside it.
+const ZONE_POOL: usize = 15;
+
+fn zone_pool_name(idx: usize) -> Name {
+    const LABELS: [&str; 3] = ["a", "b", "c"];
+    let text = match idx {
+        0 => "z.example".to_string(),
+        1..=3 => format!("{}.z.example", LABELS[idx - 1]),
+        4..=12 => format!(
+            "{}.{}.z.example",
+            LABELS[(idx - 4) % 3],
+            LABELS[(idx - 4) / 3]
+        ),
+        13 => "a.other.example".to_string(),
+        _ => "other.example".to_string(),
+    };
+    text.parse().expect("pool names are valid")
+}
+
+/// A record at an in-zone pool name, of a type drawn from a mix that sorts
+/// on both sides of `NS` in the zone's key order.
+fn arb_zone_record() -> impl Strategy<Value = Record> {
+    (0usize..=12, 0u8..5, any::<u8>()).prop_map(|(owner, kind, x)| {
+        let rdata = match kind {
+            0 => RData::A(Ipv4Addr::new(192, 0, 2, x)),
+            1 => RData::Aaaa(Ipv6Addr::from([x; 16])),
+            2 => RData::Txt(format!("t{x}")),
+            3 => RData::Mx {
+                preference: x.into(),
+                exchange: zone_pool_name(usize::from(x) % ZONE_POOL),
+            },
+            _ => RData::Cname(zone_pool_name(usize::from(x) % ZONE_POOL)),
+        };
+        Record::new(zone_pool_name(owner), Ttl::from_secs(300), rdata)
+    })
+}
+
+/// A delegation to an in-zone child whose glue names may sit below the
+/// child, elsewhere in the zone or outside it.
+fn arb_delegation() -> impl Strategy<Value = Delegation> {
+    (
+        1usize..=12,
+        proptest::collection::vec(0usize..ZONE_POOL, 0..=3),
+    )
+        .prop_map(|(child, glue)| {
+            let child = zone_pool_name(child);
+            let glue: Vec<Record> = glue
+                .into_iter()
+                .map(|g| {
+                    Record::new(
+                        zone_pool_name(g),
+                        Ttl::from_secs(300),
+                        RData::A(Ipv4Addr::new(198, 51, 100, g as u8)),
+                    )
+                })
+                .collect();
+            let ns_names = glue.iter().map(|g| g.name().clone()).collect();
+            Delegation::unsigned(child, ns_names, Ttl::from_secs(300), glue)
+        })
+}
+
+fn arb_zone() -> impl Strategy<Value = Zone> {
+    (
+        0usize..ZONE_POOL,
+        proptest::collection::vec(arb_zone_record(), 0..=8),
+        proptest::collection::vec(arb_delegation(), 0..=3),
+    )
+        .prop_map(|(ns, records, delegations)| {
+            let mut builder = ZoneBuilder::new(zone_pool_name(0)).ns(
+                zone_pool_name(ns),
+                Ipv4Addr::new(192, 0, 2, 53),
+                Ttl::from_secs(300),
+            );
+            for r in records {
+                builder = builder.record(r);
+            }
+            for d in delegations {
+                builder = builder.delegate(d);
+            }
+            builder.build().expect("pool zones are valid")
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `Zone::name_exists` agrees with a scan of every RRset, delegation
+    /// cut and glue record, for names present and absent.
+    #[test]
+    fn name_exists_matches_full_scan(zone in arb_zone()) {
+        for idx in 0..ZONE_POOL {
+            let name = zone_pool_name(idx);
+            let scan = zone.rrsets().any(|s| *s.name() == name)
+                || zone
+                    .delegations()
+                    .any(|d| d.child == name || d.glue.iter().any(|g| *g.name() == name));
+            prop_assert!(
+                zone.name_exists(&name) == scan,
+                "name_exists({}) disagrees with the scan ({})",
+                name,
+                scan
+            );
+        }
     }
 }

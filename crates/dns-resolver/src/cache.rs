@@ -6,6 +6,7 @@
 
 use dns_core::{Name, RecordType, RrKey, RrKeyView, RrSet, SimDuration, SimTime, Ttl};
 use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 
@@ -67,6 +68,16 @@ pub struct NegativeInsertOutcome {
     pub evicted_pressure: u64,
 }
 
+/// A stored positive entry and the due time of its one pair on the expiry
+/// heap.
+#[derive(Debug, Clone)]
+struct Slot {
+    entry: CacheEntry,
+    /// When this entry's pair on [`RecordCache`]'s expiry heap falls due;
+    /// never after `entry.expires_at`.
+    queued: SimTime,
+}
+
 /// Approximate heap cost of one negative entry: its key's wire-format name
 /// length plus fixed map/heap overhead.
 fn negative_cost(key: &RrKey) -> usize {
@@ -95,13 +106,18 @@ fn negative_cost(key: &RrKey) -> usize {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RecordCache {
-    entries: HashMap<RrKey, CacheEntry>,
+    entries: HashMap<RrKey, Slot>,
     negatives: HashMap<RrKey, (SimTime, NegativeKind)>,
-    /// Expiry min-heap over `entries`, lazy-deleted: a pair whose entry
-    /// was since re-inserted with a different expiry no longer matches
-    /// the map and is skipped on pop.
+    /// Expiry min-heap over `entries`, one pair per entry at its slot's
+    /// `queued` time. A re-insert that extends an entry pushes nothing:
+    /// the due pair re-queues the entry at its current expiry. Only a
+    /// re-insert that moves the expiry earlier pushes a second pair, and
+    /// the superseded one is dropped when it falls due.
     expiry: BinaryHeap<Reverse<(SimTime, RrKey)>>,
-    /// Expiry min-heap over `negatives`, same discipline.
+    /// Expiry min-heap over `negatives`, lazy-deleted: every insert pushes
+    /// a pair, and a pair whose entry was since re-inserted with a
+    /// different expiry is skipped on pop. Budget eviction pops it in
+    /// expiry order.
     neg_expiry: BinaryHeap<Reverse<(SimTime, RrKey)>>,
     /// Individual records across stored positive entries, maintained on
     /// insert/evict so occupancy sampling never scans the table.
@@ -130,31 +146,47 @@ impl RecordCache {
     ///
     /// Returns `true` when the set was stored.
     pub fn insert(&mut self, set: RrSet, now: SimTime, credibility: Credibility) -> bool {
-        let key = set.key().clone();
-        if let Some(existing) = self.entries.get(&key) {
-            if existing.is_fresh(now) && existing.credibility > credibility {
-                return false;
-            }
-        }
         let expires_at = set.ttl().expires_at(now);
         let added = set.len();
-        if let Some(old) = self.entries.insert(
-            key.clone(),
-            CacheEntry {
-                set,
-                expires_at,
-                credibility,
-            },
-        ) {
-            self.record_total -= old.set.len();
+        match self.entries.get_mut(set.key()) {
+            Some(slot) => {
+                if slot.entry.is_fresh(now) && slot.entry.credibility > credibility {
+                    return false;
+                }
+                if expires_at < slot.queued {
+                    slot.queued = expires_at;
+                    self.expiry.push(Reverse((expires_at, set.key().clone())));
+                }
+                self.record_total = self.record_total - slot.entry.set.len() + added;
+                slot.entry = CacheEntry {
+                    set,
+                    expires_at,
+                    credibility,
+                };
+            }
+            None => {
+                let key = set.key().clone();
+                self.expiry.push(Reverse((expires_at, key.clone())));
+                let entry = CacheEntry {
+                    set,
+                    expires_at,
+                    credibility,
+                };
+                self.entries.insert(
+                    key,
+                    Slot {
+                        entry,
+                        queued: expires_at,
+                    },
+                );
+                self.record_total += added;
+            }
         }
-        self.record_total += added;
-        self.expiry.push(Reverse((expires_at, key)));
         true
     }
 
     /// Evicts every entry that expired at or before `now`, in O(log n)
-    /// per expired entry rather than a full-table scan. Returns how many
+    /// per due heap pair rather than a full-table scan. Returns how many
     /// entries (positive + negative) were evicted.
     fn advance(&mut self, now: SimTime) -> usize {
         let mut evicted = 0;
@@ -169,12 +201,20 @@ impl RecordCache {
             .is_some_and(|Reverse((at, _))| *at + grace <= now)
         {
             let Reverse((at, key)) = self.expiry.pop().expect("peeked");
-            // Skip lazily-deleted pairs: the entry was re-inserted with a
-            // different expiry after this pair was pushed.
-            if self.entries.get(&key).is_some_and(|e| e.expires_at == at) {
-                let old = self.entries.remove(&key).expect("just probed");
-                self.record_total -= old.set.len();
+            let Entry::Occupied(mut slot) = self.entries.entry(key) else {
+                continue;
+            };
+            if slot.get().queued != at {
+                continue; // superseded when a re-insert moved the expiry earlier
+            }
+            let expires_at = slot.get().entry.expires_at;
+            if expires_at + grace <= now {
+                self.record_total -= slot.remove().entry.set.len();
                 evicted += 1;
+            } else {
+                // Extended since it was queued: due again at its expiry.
+                slot.get_mut().queued = expires_at;
+                self.expiry.push(Reverse((expires_at, slot.key().clone())));
             }
         }
         while self
@@ -198,6 +238,7 @@ impl RecordCache {
     pub fn get(&self, name: &Name, rtype: RecordType, now: SimTime) -> Option<&CacheEntry> {
         self.entries
             .get(&(name, rtype) as &dyn RrKeyView)
+            .map(|slot| &slot.entry)
             .filter(|e| e.is_fresh(now))
     }
 
@@ -225,6 +266,7 @@ impl RecordCache {
     pub fn get_stale(&self, name: &Name, rtype: RecordType, now: SimTime) -> Option<&CacheEntry> {
         self.entries
             .get(&(name, rtype) as &dyn RrKeyView)
+            .map(|slot| &slot.entry)
             .filter(|e| !e.is_fresh(now))
     }
 
@@ -341,7 +383,10 @@ impl RecordCache {
     pub fn fresh_len(&mut self, now: SimTime) -> usize {
         self.advance(now);
         if self.stale_retention.is_some() {
-            self.entries.values().filter(|e| e.is_fresh(now)).count()
+            self.entries
+                .values()
+                .filter(|slot| slot.entry.is_fresh(now))
+                .count()
         } else {
             self.entries.len()
         }
@@ -354,8 +399,8 @@ impl RecordCache {
         if self.stale_retention.is_some() {
             self.entries
                 .values()
-                .filter(|e| e.is_fresh(now))
-                .map(|e| e.set.len())
+                .filter(|slot| slot.entry.is_fresh(now))
+                .map(|slot| slot.entry.set.len())
                 .sum()
         } else {
             self.record_total
@@ -667,25 +712,94 @@ mod tests {
     }
 
     #[test]
-    fn reinsert_leaves_stale_heap_pair_behind_harmlessly() {
+    fn extending_reinsert_requeues_instead_of_evicting() {
         let mut c = RecordCache::new();
         c.insert(
             a_set("a.x.com", 1, Ttl::from_mins(5)),
             SimTime::ZERO,
             Credibility::AuthAnswer,
         );
-        // Re-insert with a longer TTL: the 5-minute heap pair goes stale.
+        // Re-insert with a longer TTL: the entry keeps its 5-minute pair.
         c.insert(
             a_set("a.x.com", 2, Ttl::from_hours(2)),
             SimTime::from_mins(1),
             Credibility::AuthAnswer,
         );
-        // Popping the stale pair must not evict the refreshed entry...
+        // The due pair must not evict the refreshed entry...
         assert_eq!(c.purge_expired(SimTime::from_mins(10)), 0);
         assert_eq!(c.fresh_len(SimTime::from_mins(10)), 1);
         assert_eq!(c.fresh_record_count(SimTime::from_mins(10)), 1);
         // ...and the refreshed entry still expires on its own schedule.
         assert_eq!(c.purge_expired(SimTime::from_hours(3)), 1);
         assert_eq!(c.fresh_record_count(SimTime::from_hours(3)), 0);
+    }
+
+    #[test]
+    fn live_key_reinserted_1000_times_holds_one_heap_pair() {
+        let mut c = RecordCache::new();
+        for i in 0..1000 {
+            c.insert(
+                a_set("a.x.com", 1, Ttl::from_hours(1)),
+                SimTime::from_secs(i),
+                Credibility::AuthAnswer,
+            );
+        }
+        assert_eq!(c.expiry.len(), 1);
+        // The one pair falls due at the first expiry and re-queues the
+        // entry at its current one.
+        assert_eq!(c.purge_expired(SimTime::from_hours(1)), 0);
+        assert_eq!(c.expiry.len(), 1);
+        assert_eq!(c.purge_expired(SimTime::from_secs(3600 + 999)), 1);
+        assert!(c.expiry.is_empty());
+    }
+
+    #[test]
+    fn earlier_expiry_reinsert_leaves_at_most_two_pairs() {
+        let mut c = RecordCache::new();
+        for i in 0..1000 {
+            c.insert(
+                a_set("a.x.com", 1, Ttl::from_hours(2)),
+                SimTime::from_secs(i),
+                Credibility::AuthAnswer,
+            );
+        }
+        // A shorter TTL moves the expiry earlier than the queued pair.
+        c.insert(
+            a_set("a.x.com", 2, Ttl::from_mins(5)),
+            SimTime::from_secs(1000),
+            Credibility::AuthAnswer,
+        );
+        assert_eq!(c.expiry.len(), 2);
+        // The earlier pair evicts on time; the superseded one is dropped
+        // when it falls due.
+        assert_eq!(c.purge_expired(SimTime::from_secs(1299)), 0);
+        assert_eq!(c.purge_expired(SimTime::from_secs(1300)), 1);
+        assert_eq!(c.expiry.len(), 1);
+        assert_eq!(c.purge_expired(SimTime::from_hours(3)), 0);
+        assert!(c.expiry.is_empty());
+    }
+
+    #[test]
+    fn superseded_pair_of_a_live_entry_is_dropped_not_requeued() {
+        let mut c = RecordCache::new();
+        let insert = |c: &mut RecordCache, at: u64, ttl: Ttl| {
+            c.insert(
+                a_set("a.x.com", 1, ttl),
+                SimTime::from_secs(at),
+                Credibility::AuthAnswer,
+            )
+        };
+        insert(&mut c, 0, Ttl::from_hours(2)); // queued at 7200 s
+        insert(&mut c, 1000, Ttl::from_mins(5)); // earlier: queued at 1300 s
+        insert(&mut c, 1100, Ttl::from_hours(3)); // extended to 11,900 s
+        assert_eq!(c.expiry.len(), 2);
+        // The live pair re-queues the entry at its expiry...
+        assert_eq!(c.purge_expired(SimTime::from_secs(1300)), 0);
+        assert_eq!(c.expiry.len(), 2);
+        // ...and the superseded 7200 s pair is dropped when it falls due.
+        assert_eq!(c.purge_expired(SimTime::from_hours(2)), 0);
+        assert_eq!(c.expiry.len(), 1);
+        assert_eq!(c.purge_expired(SimTime::from_secs(11_900)), 1);
+        assert!(c.expiry.is_empty());
     }
 }

@@ -56,9 +56,11 @@ pub struct InfraEntry {
     pub last_parent_contact: SimTime,
     /// Whether the expiry tombstone has already produced a gap sample.
     gap_recorded: bool,
-    /// Whether this entry is currently included in the cache's maintained
-    /// fresh-occupancy counters (cleared by the expiry heap when due).
-    counted: bool,
+    /// `Some` while this entry counts toward the cache's maintained
+    /// fresh-occupancy counters: when its one pair on the expiry heap falls
+    /// due, never after `expires_at`. Root hints never expire; they count
+    /// at [`SimTime::MAX`] without a pair.
+    queued: Option<SimTime>,
 }
 
 impl InfraEntry {
@@ -76,6 +78,20 @@ impl InfraEntry {
     /// entries), for memory accounting.
     pub fn record_count(&self) -> usize {
         self.ns_names.len() + self.addrs.len()
+    }
+
+    /// The Figure-3 gap sample of an expired entry used or reinstalled at
+    /// `now`, once per expiry.
+    fn take_gap_sample(&mut self, now: SimTime) -> Option<GapSample> {
+        if self.is_fresh(now) || self.gap_recorded {
+            return None;
+        }
+        self.gap_recorded = true;
+        Some(GapSample {
+            zone: self.zone.clone(),
+            gap: now - self.expires_at,
+            ttl: self.ttl,
+        })
     }
 }
 
@@ -99,11 +115,12 @@ pub struct InfraCache {
     /// pairs (entry refreshed since scheduling) are skipped on pop.
     schedule: BTreeSet<(SimTime, Name)>,
     gap_samples: Vec<GapSample>,
-    /// Occupancy expiry min-heap, lazy-deleted like the renewal schedule:
-    /// a popped pair only uncounts the entry if it still expires at that
-    /// instant. Unlike eviction in `RecordCache`, expired entries stay in
-    /// the map as tombstones (Figure 3 needs them) — only their
-    /// contribution to the fresh counters is retired.
+    /// Occupancy expiry min-heap, one pair per counted entry at its
+    /// `queued` time, like `RecordCache`'s: a refresh that extends an entry
+    /// pushes nothing, and the due pair re-queues it at its current expiry.
+    /// Unlike eviction in `RecordCache`, expired entries stay in the map as
+    /// tombstones (Figure 3 needs them) — only their contribution to the
+    /// fresh counters is retired.
     expiry: BinaryHeap<Reverse<(SimTime, Name)>>,
     /// Zones counted fresh as of the last advance.
     fresh_zones: usize,
@@ -130,14 +147,14 @@ impl InfraCache {
             ds: Vec::new(),
             last_parent_contact: SimTime::MAX,
             gap_recorded: true,
-            counted: true,
+            queued: Some(SimTime::MAX),
         };
         // Hints never expire, so they are counted once and never pushed
         // onto the expiry heap.
         self.fresh_zones += 1;
         self.fresh_records += entry.record_count();
         if let Some(old) = self.entries.insert(Name::root(), entry) {
-            if old.counted {
+            if old.queued.is_some() {
                 self.fresh_zones -= 1;
                 self.fresh_records -= old.record_count();
             }
@@ -192,11 +209,21 @@ impl InfraCache {
     ///
     /// Credibility rules applied in both modes:
     /// * a child copy replaces a fresh parent copy (RFC 2181),
-    /// * a parent copy never replaces any fresh entry,
+    /// * a repeat parent copy refreshes a fresh parent copy only under
+    ///   `refresh`, like a repeat child copy,
+    /// * a parent copy with the same NS set never replaces a fresh child
+    ///   copy, but confirms the delegation (`last_parent_contact = now`);
+    ///   one with a different NS set replaces it (the delegation changed),
     /// * anything replaces an expired entry,
     /// * root hints are never replaced.
     ///
     /// Returns `true` when the entry was (re)installed or refreshed.
+    ///
+    /// A reinstall updates the entry in place: credit survives expiry (the
+    /// paper's renewal policies decrement it per renewal, not per expiry),
+    /// DS material survives (only the parent can change it; see
+    /// [`InfraCache::set_ds`]), and a child copy keeps the last parent
+    /// confirmation time while a parent copy confirms the delegation now.
     #[allow(clippy::too_many_arguments)]
     pub fn install(
         &mut self,
@@ -211,126 +238,115 @@ impl InfraCache {
         if ns_names.is_empty() {
             return false;
         }
-        let mut credit = 0;
-        // A parent-sourced copy confirms the delegation now; a child copy
-        // inherits the last confirmation time (first-learned entries start
-        // the clock at installation).
-        let mut last_parent_contact = now;
-        // Inspect the existing entry (immutably) and decide what to do.
-        let existing = match self.entries.get(&zone) {
-            Some(e) => {
-                if e.source == InfraSource::RootHints {
-                    return false;
-                }
-                let same_servers = {
-                    let mut a = e.ns_names.clone();
-                    let mut b = ns_names.clone();
-                    a.sort();
-                    b.sort();
-                    a == b
-                };
-                Some((
-                    e.is_fresh(now),
-                    e.source,
-                    e.expires_at,
-                    e.credit,
-                    e.last_parent_contact,
-                    same_servers,
-                    e.ds.clone(),
-                ))
-            }
-            None => None,
-        };
-        let mut ds = Vec::new();
-        if let Some((
-            was_fresh,
-            old_source,
-            old_expiry,
-            old_credit,
-            old_parent_contact,
-            same,
-            old_ds,
-        )) = existing
-        {
-            if was_fresh {
-                let replace = match (old_source, source) {
-                    // Child data replaces parent data…
-                    (InfraSource::Parent, InfraSource::Child) => true,
-                    // …and refreshes itself only when the scheme is on.
-                    (InfraSource::Child, InfraSource::Child) => refresh,
-                    // Parent data never displaces fresh data. A repeat
-                    // parent copy while a parent copy is fresh is the same
-                    // data; refreshing it is also gated on the scheme.
-                    (InfraSource::Parent, InfraSource::Parent) => refresh,
-                    // A fresh child copy resists parent data with the same
-                    // NS set (RFC 2181 ranking) — but the parent copy still
-                    // *confirms* the delegation for the §6 recheck clock.
-                    // A *different* parent NS set means the delegation
-                    // changed (e.g. the zone was reclaimed): parent wins.
-                    (InfraSource::Child, InfraSource::Parent) => {
-                        if same {
-                            if let Some(entry) = self.entries.get_mut(&zone) {
-                                entry.last_parent_contact = now;
-                            }
-                            return false;
-                        }
-                        true
-                    }
-                    (InfraSource::RootHints, _) | (_, InfraSource::RootHints) => false,
-                };
-                if !replace {
-                    return false;
-                }
-            } else {
-                // Reinstalling after expiry: record the Figure-3 gap.
-                self.note_gap(&zone, now);
-            }
-            // Credit survives expiry — the paper's renewal policies
-            // decrement it per renewal, not per expiry.
-            credit = old_credit;
-            // DS material survives reinstalls (only the parent can change
-            // it; see `set_ds`).
-            ds = old_ds;
-            if source != InfraSource::Parent {
-                last_parent_contact = old_parent_contact;
-            }
-            self.schedule.remove(&(old_expiry, zone.clone()));
-        }
         let expires_at = ttl.expires_at(now);
-        self.schedule.insert((expires_at, zone.clone()));
-        let counted = now < expires_at;
-        if counted {
-            self.expiry.push(Reverse((expires_at, zone.clone())));
-        }
-        let entry = InfraEntry {
-            zone: zone.clone(),
-            ns_names,
-            addrs,
-            ttl,
-            expires_at,
-            source,
-            credit,
-            ds,
-            last_parent_contact,
-            gap_recorded: false,
-            counted,
-        };
-        if counted {
-            self.fresh_zones += 1;
-            self.fresh_records += entry.record_count();
-        }
-        if let Some(old) = self.entries.insert(zone, entry) {
-            if old.counted {
-                self.fresh_zones -= 1;
-                self.fresh_records -= old.record_count();
+        let Some(entry) = self.entries.get_mut(&zone) else {
+            // First-learned entries start the parent-contact clock at
+            // installation.
+            self.schedule.insert((expires_at, zone.clone()));
+            let mut entry = InfraEntry {
+                zone: zone.clone(),
+                ns_names,
+                addrs,
+                ttl,
+                expires_at,
+                source,
+                credit: 0,
+                ds: Vec::new(),
+                last_parent_contact: now,
+                gap_recorded: false,
+                queued: None,
+            };
+            if now < expires_at {
+                entry.queued = Some(expires_at);
+                self.expiry.push(Reverse((expires_at, zone.clone())));
+                self.fresh_zones += 1;
+                self.fresh_records += entry.record_count();
             }
+            self.entries.insert(zone, entry);
+            return true;
+        };
+        if entry.source == InfraSource::RootHints {
+            return false;
+        }
+        if entry.is_fresh(now) {
+            let replace = match (entry.source, source) {
+                // Child data replaces parent data…
+                (InfraSource::Parent, InfraSource::Child) => true,
+                // …and refreshes itself only when the scheme is on.
+                (InfraSource::Child, InfraSource::Child) => refresh,
+                // Parent data never displaces fresh data. A repeat
+                // parent copy while a parent copy is fresh is the same
+                // data; refreshing it is also gated on the scheme.
+                (InfraSource::Parent, InfraSource::Parent) => refresh,
+                // A fresh child copy resists parent data with the same
+                // NS set (RFC 2181 ranking) — but the parent copy still
+                // *confirms* the delegation for the §6 recheck clock.
+                // A *different* parent NS set means the delegation
+                // changed (e.g. the zone was reclaimed): parent wins.
+                (InfraSource::Child, InfraSource::Parent) => {
+                    let mut held = entry.ns_names.clone();
+                    let mut offered = ns_names.clone();
+                    held.sort();
+                    offered.sort();
+                    if held == offered {
+                        entry.last_parent_contact = now;
+                        return false;
+                    }
+                    true
+                }
+                (InfraSource::RootHints, _) | (_, InfraSource::RootHints) => false,
+            };
+            if !replace {
+                return false;
+            }
+        } else if let Some(sample) = entry.take_gap_sample(now) {
+            // Reinstalling after expiry: record the Figure-3 gap.
+            self.gap_samples.push(sample);
+        }
+        if entry.expires_at != expires_at {
+            self.schedule.remove(&(entry.expires_at, zone.clone()));
+        }
+        // Re-adds the pair when unchanged too: a renewal pop may have
+        // consumed it.
+        self.schedule.insert((expires_at, zone.clone()));
+        let old_records = entry.record_count();
+        entry.ns_names = ns_names;
+        entry.addrs = addrs;
+        entry.ttl = ttl;
+        entry.expires_at = expires_at;
+        entry.source = source;
+        entry.gap_recorded = false;
+        if source == InfraSource::Parent {
+            entry.last_parent_contact = now;
+        }
+        let new_records = entry.record_count();
+        match (entry.queued, now < expires_at) {
+            (Some(queued), true) => {
+                self.fresh_records = self.fresh_records - old_records + new_records;
+                if expires_at < queued {
+                    entry.queued = Some(expires_at);
+                    self.expiry.push(Reverse((expires_at, zone)));
+                }
+            }
+            (Some(_), false) => {
+                entry.queued = None;
+                self.fresh_zones -= 1;
+                self.fresh_records -= old_records;
+            }
+            (None, true) => {
+                entry.queued = Some(expires_at);
+                self.expiry.push(Reverse((expires_at, zone)));
+                self.fresh_zones += 1;
+                self.fresh_records += new_records;
+            }
+            (None, false) => {}
         }
         true
     }
 
     /// Retires the counter contribution of every entry whose expiry is at
     /// or before `now`. Entries themselves stay in the map as tombstones;
-    /// cost is O(log n) per expired entry rather than a full scan.
+    /// cost is O(log n) per due heap pair rather than a full scan.
     fn advance_expiry(&mut self, now: SimTime) {
         while self
             .expiry
@@ -338,14 +354,20 @@ impl InfraCache {
             .is_some_and(|Reverse((at, _))| *at <= now)
         {
             let Reverse((at, zone)) = self.expiry.pop().expect("peeked");
-            if let Some(entry) = self.entries.get_mut(&zone) {
-                // A refreshed entry has a different expiry: the stale pair
-                // is skipped and its newer pair governs the uncount.
-                if entry.counted && entry.expires_at == at {
-                    entry.counted = false;
-                    self.fresh_zones -= 1;
-                    self.fresh_records -= entry.record_count();
-                }
+            let Some(entry) = self.entries.get_mut(&zone) else {
+                continue;
+            };
+            if entry.queued != Some(at) {
+                continue; // superseded, or the entry was uncounted since
+            }
+            if entry.expires_at <= now {
+                entry.queued = None;
+                self.fresh_zones -= 1;
+                self.fresh_records -= entry.record_count();
+            } else {
+                // Refreshed since it was queued: due again at its expiry.
+                entry.queued = Some(entry.expires_at);
+                self.expiry.push(Reverse((entry.expires_at, zone)));
             }
         }
     }
@@ -422,15 +444,12 @@ impl InfraCache {
     }
 
     fn note_gap(&mut self, zone: &Name, now: SimTime) {
-        if let Some(entry) = self.entries.get_mut(zone) {
-            if !entry.is_fresh(now) && !entry.gap_recorded {
-                entry.gap_recorded = true;
-                self.gap_samples.push(GapSample {
-                    zone: zone.clone(),
-                    gap: now - entry.expires_at,
-                    ttl: entry.ttl,
-                });
-            }
+        if let Some(sample) = self
+            .entries
+            .get_mut(zone)
+            .and_then(|e| e.take_gap_sample(now))
+        {
+            self.gap_samples.push(sample);
         }
     }
 
@@ -474,7 +493,7 @@ impl InfraCache {
             for (ns, addr) in pairs {
                 if entry.ns_names.contains(ns) && !entry.addrs.iter().any(|(n, _)| n == ns) {
                     entry.addrs.push((ns.clone(), *addr));
-                    if entry.counted {
+                    if entry.queued.is_some() {
                         self.fresh_records += 1;
                     }
                 }
@@ -867,6 +886,81 @@ mod tests {
         assert_eq!(c.fresh_zone_count(SimTime::from_hours(1)), 2);
         assert_eq!(c.fresh_record_count(SimTime::from_hours(1)), 4);
         assert_eq!(c.fresh_zone_count(SimTime::from_days(1)), 1);
+    }
+
+    #[test]
+    fn child_refreshed_1000_times_holds_one_heap_pair() {
+        let mut c = cache_with_root();
+        for i in 0..1000 {
+            assert!(install_ucla(
+                &mut c,
+                SimTime::from_mins(i),
+                InfraSource::Child,
+                true
+            ));
+        }
+        assert_eq!(c.expiry.len(), 1);
+        let last_expiry = SimTime::from_mins(999) + SimDuration::from_hours(12);
+        // The first expiry re-queues the refreshed entry instead of
+        // uncounting it.
+        assert_eq!(c.fresh_zone_count(SimTime::from_hours(12)), 2);
+        assert_eq!(c.expiry.len(), 1);
+        assert_eq!(c.fresh_zone_count(last_expiry), 1);
+        assert_eq!(c.fresh_record_count(last_expiry), 2);
+        assert!(c.expiry.is_empty());
+    }
+
+    #[test]
+    fn earlier_expiry_reinstall_leaves_at_most_two_pairs() {
+        let mut c = cache_with_root();
+        for i in 0..1000 {
+            install_ucla(&mut c, SimTime::from_secs(i), InfraSource::Child, true);
+        }
+        // The parent reclaims the delegation with a TTL that ends before
+        // the queued 12-hour pair.
+        assert!(c.install(
+            name("ucla.edu"),
+            vec![name("ns9.ucla.edu")],
+            vec![],
+            Ttl::from_hours(1),
+            SimTime::from_hours(10),
+            InfraSource::Parent,
+            true,
+        ));
+        assert_eq!(c.expiry.len(), 2);
+        assert_eq!(c.fresh_record_count(SimTime::from_hours(10)), 3);
+        assert_eq!(c.fresh_zone_count(SimTime::from_hours(11)), 1);
+        assert_eq!(c.expiry.len(), 1);
+        assert_eq!(c.fresh_zone_count(SimTime::from_days(2)), 1);
+        assert!(c.expiry.is_empty());
+    }
+
+    #[test]
+    fn superseded_pair_of_a_counted_entry_is_dropped_not_requeued() {
+        let mut c = cache_with_root();
+        install_ucla(&mut c, SimTime::ZERO, InfraSource::Child, true); // queued at 12 h
+        let reclaim = |c: &mut InfraCache, hours: u64, ttl: Ttl, ns: &str| {
+            c.install(
+                name("ucla.edu"),
+                vec![name(ns)],
+                vec![],
+                ttl,
+                SimTime::from_hours(hours),
+                InfraSource::Parent,
+                true,
+            )
+        };
+        assert!(reclaim(&mut c, 1, Ttl::from_hours(1), "ns9.ucla.edu")); // queued at 2 h
+        assert!(reclaim(&mut c, 1, Ttl::from_days(1), "ns9.ucla.edu")); // extended to 25 h
+        assert_eq!(c.expiry.len(), 2);
+        // The live pair re-queues the entry at its expiry...
+        assert_eq!(c.fresh_zone_count(SimTime::from_hours(2)), 2);
+        assert_eq!(c.expiry.len(), 2);
+        // ...and the superseded 12-hour pair is dropped when it falls due.
+        assert_eq!(c.fresh_zone_count(SimTime::from_hours(12)), 2);
+        assert_eq!(c.expiry.len(), 1);
+        assert_eq!(c.fresh_zone_count(SimTime::from_hours(25)), 1);
+        assert!(c.expiry.is_empty());
     }
 
     #[test]

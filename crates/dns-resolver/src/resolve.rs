@@ -1079,14 +1079,17 @@ impl CachingServer {
                 .record_use(zone_queried, now, policy.as_ref());
         }
 
-        // Answer section → record cache (authoritative data only).
+        // Answer section → record cache (authoritative data only). Its NS
+        // sets are kept for the infrastructure cache below.
+        let mut answer_ns = Vec::new();
         if resp.header.authoritative {
             for set in group_rrsets(&resp.answers) {
+                if set.rtype() == RecordType::Ns {
+                    answer_ns.push(set);
+                    continue;
+                }
                 if !set.name().is_subdomain_of(zone_queried) {
                     continue; // out of bailiwick
-                }
-                if set.rtype() == RecordType::Ns {
-                    continue; // handled via the infra cache below
                 }
                 let set = self.cap_ttl(set);
                 self.backend
@@ -1095,31 +1098,26 @@ impl CachingServer {
         }
 
         // Additional section → glue addresses (low credibility).
-        for set in group_rrsets(&resp.additionals) {
+        let glue = resp
+            .additionals
+            .iter()
+            .filter(|r| matches!(r.rtype(), RecordType::A | RecordType::Aaaa));
+        for set in group_rrsets(glue) {
             if !set.name().is_subdomain_of(zone_queried) {
                 continue;
             }
-            if matches!(set.rtype(), RecordType::A | RecordType::Aaaa) {
-                let set = self.cap_ttl(set);
-                self.backend
-                    .insert_record(set, now, Credibility::Additional);
-            }
+            let set = self.cap_ttl(set);
+            self.backend
+                .insert_record(set, now, Credibility::Additional);
         }
 
         // NS sets (authority section, and answer section for explicit NS
         // queries such as renewals) → infrastructure cache.
-        let mut ns_sets: Vec<RrSet> = group_rrsets(&resp.authorities)
-            .into_iter()
-            .filter(|s| s.rtype() == RecordType::Ns)
-            .collect();
-        if resp.header.authoritative {
-            ns_sets.extend(
-                group_rrsets(&resp.answers)
-                    .into_iter()
-                    .filter(|s| s.rtype() == RecordType::Ns),
-            );
-        }
-        for set in ns_sets {
+        let authority_ns = resp
+            .authorities
+            .iter()
+            .filter(|r| r.rtype() == RecordType::Ns);
+        for set in group_rrsets(authority_ns).into_iter().chain(answer_ns) {
             let owner = set.name().clone();
             if !owner.is_subdomain_of(zone_queried) {
                 continue;
@@ -1233,15 +1231,31 @@ fn response_matches(query: &Message, resp: &Message) -> bool {
     resp.header.response && resp.header.id == query.header.id && resp.question() == query.question()
 }
 
-/// Groups loose records into RRsets by (name, type).
-fn group_rrsets(records: &[Record]) -> Vec<RrSet> {
-    let mut groups: HashMap<dns_core::RrKey, Vec<Record>> = HashMap::new();
+/// Groups loose records into RRsets by (name, type), in order of first
+/// appearance. As in [`RrSet::from_records`], a set takes the minimum TTL
+/// of its records and keeps each distinct RDATA once, in order. Each record
+/// is compared against the sets built so far, which one response section
+/// keeps to a handful.
+fn group_rrsets<'a>(records: impl IntoIterator<Item = &'a Record>) -> Vec<RrSet> {
+    let mut groups: Vec<(RrKey, Ttl, Vec<RData>)> = Vec::new();
     for r in records {
-        groups.entry(r.key()).or_default().push(r.clone());
+        let rtype = r.rtype();
+        match groups
+            .iter_mut()
+            .find(|(key, ..)| key.rtype == rtype && key.name == *r.name())
+        {
+            Some((_, ttl, rdatas)) => {
+                *ttl = (*ttl).min(r.ttl());
+                if !rdatas.contains(r.rdata()) {
+                    rdatas.push(r.rdata().clone());
+                }
+            }
+            None => groups.push((r.key(), r.ttl(), vec![r.rdata().clone()])),
+        }
     }
     groups
-        .into_values()
-        .filter_map(|recs| RrSet::from_records(&recs))
+        .into_iter()
+        .map(|(key, ttl, rdatas)| RrSet::new(key, ttl, rdatas))
         .collect()
 }
 
@@ -1471,23 +1485,48 @@ mod tests {
     #[test]
     fn group_rrsets_merges_by_key() {
         let n: Name = "x.com".parse().unwrap();
+        let w: Name = "w.x.com".parse().unwrap();
+        let ns =
+            |host: &str, ttl: Ttl| Record::new(n.clone(), ttl, RData::Ns(host.parse().unwrap()));
         let recs = vec![
-            Record::new(
-                n.clone(),
-                Ttl::from_hours(1),
-                RData::Ns("a.x.com".parse().unwrap()),
-            ),
-            Record::new(
-                n.clone(),
-                Ttl::from_hours(1),
-                RData::Ns("b.x.com".parse().unwrap()),
-            ),
-            Record::new(n, Ttl::from_hours(1), RData::A(Ipv4Addr::LOCALHOST)),
+            ns("a.x.com", Ttl::from_hours(1)),
+            Record::new(n.clone(), Ttl::from_hours(1), RData::A(Ipv4Addr::LOCALHOST)),
+            // Not adjacent to its set, with a lower TTL.
+            ns("b.x.com", Ttl::from_mins(30)),
+            Record::new(w.clone(), Ttl::from_hours(2), RData::A(Ipv4Addr::LOCALHOST)),
+            // Duplicate RDATA under another TTL.
+            ns("a.x.com", Ttl::from_hours(2)),
         ];
         let sets = group_rrsets(&recs);
-        assert_eq!(sets.len(), 2);
-        let ns = sets.iter().find(|s| s.rtype() == RecordType::Ns).unwrap();
-        assert_eq!(ns.len(), 2);
+        let keys: Vec<(&Name, RecordType)> = sets.iter().map(|s| (s.name(), s.rtype())).collect();
+        assert_eq!(
+            keys,
+            [
+                (&n, RecordType::Ns),
+                (&n, RecordType::A),
+                (&w, RecordType::A)
+            ],
+            "first-appearance order"
+        );
+        let ns_set = &sets[0];
+        assert_eq!(ns_set.ttl(), Ttl::from_mins(30), "minimum TTL");
+        assert_eq!(
+            ns_set.rdatas(),
+            &[
+                RData::Ns("a.x.com".parse().unwrap()),
+                RData::Ns("b.x.com".parse().unwrap())
+            ],
+            "duplicate RDATA kept once"
+        );
+        // Each set is what `RrSet::from_records` builds from its records.
+        for set in &sets {
+            let own: Vec<Record> = recs
+                .iter()
+                .filter(|r| r.name() == set.name() && r.rtype() == set.rtype())
+                .cloned()
+                .collect();
+            assert_eq!(Some(set), RrSet::from_records(&own).as_ref());
+        }
     }
 
     #[test]
