@@ -1,10 +1,10 @@
 #!/usr/bin/env sh
-# Repo gate: formatting and lints (the workspace and perfbench), the full
-# test suite, then twelve smoke steps: the tracked BENCH_scale.json /
-# BENCH_stale.json gates; reduced runs of the bench_scale, fig4,
-# adversarial and stale binaries; both netd playground tours; the obs,
-# adversarial, wire fast-lane and serve-stale integration suites; and
-# perfbench's self-tests.
+# Repo gate: formatting and lints (the workspace and perfbench), rustdoc
+# with warnings denied, the full test suite, then twelve smoke steps: the
+# tracked BENCH_scale.json / BENCH_stale.json gates; reduced runs of the
+# bench_scale, fig4, adversarial and stale binaries; both netd playground
+# tours; the obs, adversarial, wire fast-lane and serve-stale integration
+# suites; and perfbench's self-tests.
 #
 #   ./ci.sh            # everything (a few minutes)
 #   ./ci.sh smoke      # the twelve smoke steps only
@@ -208,6 +208,11 @@ cargo fmt --check --manifest-path perfbench/Cargo.toml
 echo "== cargo clippy -D warnings =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo clippy --offline --all-targets --manifest-path perfbench/Cargo.toml -- -D warnings
+
+echo "== cargo doc -D warnings =="
+# A dangling or redundant intra-doc link fails the gate, so docs cannot
+# keep pointing at deleted items.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== clippy lock hygiene (resolver concurrency core) =="
 # The shard/inflight code must never hold a lock across an await-like

@@ -141,8 +141,9 @@ fn rss_after_streaming(ns: &dns_trace::InternedNamespace, queries: u64) -> u64 {
     peak_rss_kb()
 }
 
-/// A small end-to-end streamed attack sweep (warm-up, per-duration
-/// cursor-resumed forks) — the replay path the scale numbers feed.
+/// A small end-to-end streamed attack sweep (warm-up, one fork of the
+/// warmed-up replay per duration) — the replay path the scale numbers
+/// feed.
 fn run_streamed_sweep() -> (u64, f64, u64) {
     let universe = UniverseSpec::small().build(7);
     let start = Instant::now();

@@ -5,7 +5,9 @@
 //! [`CompiledAdversary`] whose event generator emits `qps` attack
 //! queries per virtual second inside an attack window, each tagged with
 //! the reserved client id [`ADVERSARY_CLIENT`] so the driver can account
-//! attacker and legitimate traffic separately. Attack events are pure
+//! attacker and legitimate traffic separately.
+//! [`Simulation::set_adversary`](crate::Simulation::set_adversary) merges
+//! one window into a replay. Attack events are pure
 //! functions of `(spec, universe, window)` — no RNG draws are shared
 //! with the base trace stream, so the legitimate workload is
 //! byte-identical with and without an adversary, and sweeps stay
@@ -21,8 +23,8 @@
 //!   small set of victim second-level zones, pressuring the negative
 //!   cache and the per-zone inflight budget.
 
-use dns_core::{Label, Name, Question, RecordType, SimDuration, SimTime};
-use dns_trace::{QueryEvent, QueryStream, TraceCursor, Universe};
+use dns_core::{Label, Name, Question, RecordType, SimTime};
+use dns_trace::{QueryEvent, Universe};
 use std::sync::Arc;
 
 /// Client id reserved for adversary-generated queries. The trace
@@ -233,106 +235,10 @@ impl Iterator for AdversaryEvents {
     }
 }
 
-/// A [`QueryStream`] merging a base (legitimate) stream with an
-/// adversary's attack window, ordered by timestamp with base events
-/// first on ties — the streamed composition behind adversarial sweep
-/// units.
-///
-/// The reported cursor is the *base* stream's position: adversarial
-/// forks replay a bounded window and are then discarded, so only the
-/// legitimate stream's position is meaningful to resume.
-pub struct MergedStream {
-    base: Box<dyn QueryStream>,
-    base_next: Option<QueryEvent>,
-    adversary: AdversaryEvents,
-    adversary_next: Option<QueryEvent>,
-    extra: u64,
-}
-
-impl MergedStream {
-    /// Merges `base` with the adversary window `[start, end)`.
-    pub fn new(
-        base: Box<dyn QueryStream>,
-        adversary: &CompiledAdversary,
-        start: SimTime,
-        end: SimTime,
-    ) -> Self {
-        MergedStream {
-            extra: adversary.total_events(start, end),
-            base,
-            base_next: None,
-            adversary: adversary.events(start, end),
-            adversary_next: None,
-        }
-    }
-}
-
-impl QueryStream for MergedStream {
-    fn next_event(&mut self) -> Option<QueryEvent> {
-        if self.base_next.is_none() {
-            self.base_next = self.base.next_event();
-        }
-        if self.adversary_next.is_none() {
-            self.adversary_next = self.adversary.next();
-        }
-        match (&self.base_next, &self.adversary_next) {
-            (Some(b), Some(a)) if b.at <= a.at => self.base_next.take(),
-            (_, Some(_)) => self.adversary_next.take(),
-            (Some(_), None) => self.base_next.take(),
-            (None, None) => None,
-        }
-    }
-
-    fn cursor(&self) -> TraceCursor {
-        self.base.cursor()
-    }
-
-    fn days(&self) -> u64 {
-        self.base.days()
-    }
-
-    fn total_queries(&self) -> u64 {
-        self.base.total_queries() + self.extra
-    }
-
-    fn trace_name(&self) -> &str {
-        self.base.trace_name()
-    }
-}
-
-/// Materializes the adversary window and merges it into `tail` (the
-/// unreplayed remainder of a materialized trace), preserving timestamp
-/// order with tail events first on ties — the materialized counterpart
-/// of [`MergedStream`], byte-identical in replay order.
-pub fn merge_into_tail(
-    tail: &[QueryEvent],
-    adversary: &CompiledAdversary,
-    start: SimTime,
-    end: SimTime,
-) -> Vec<QueryEvent> {
-    let mut merged = Vec::with_capacity(tail.len() + adversary.total_events(start, end) as usize);
-    let mut attack = adversary.events(start, end).peekable();
-    for event in tail {
-        while attack.peek().is_some_and(|a| a.at < event.at) {
-            merged.push(attack.next().expect("peeked event exists"));
-        }
-        merged.push(event.clone());
-    }
-    merged.extend(attack);
-    merged
-}
-
-/// Convenience: one whole-hours attack window starting at the paper's
-/// attack onset day.
-pub fn window_from_day(day: u64, duration: SimDuration) -> (SimTime, SimTime) {
-    let start = SimTime::from_days(day);
-    (start, start + duration)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dns_trace::{NxnsBombSpec, TraceSpec, UniverseSpec, UniverseTargets};
+    use dns_trace::{NxnsBombSpec, UniverseSpec};
 
     fn universe() -> Universe {
         UniverseSpec::small()
@@ -395,29 +301,5 @@ mod tests {
         let plain = UniverseSpec::small().build(7);
         let r = std::panic::catch_unwind(|| AdversarySpec::nxns(1).compile(&plain));
         assert!(r.is_err(), "compiling NXNS without bombs must panic");
-    }
-
-    #[test]
-    fn merged_stream_matches_materialized_merge() {
-        let u = universe();
-        let spec = TraceSpec::demo().scaled(0.02);
-        let trace = spec.generate(&u, 5);
-        let adv = AdversarySpec::water_torture(3, 2, 7).compile(&u);
-        let (start, end) = window_from_day(2, SimDuration::from_hours(1));
-
-        let mat = merge_into_tail(&trace.queries, &adv, start, end);
-        let stream = Box::new(spec.workload().stream(UniverseTargets::new(&u), 5));
-        let mut merged = MergedStream::new(stream, &adv, start, end);
-        let mut streamed = Vec::new();
-        while let Some(e) = merged.next_event() {
-            streamed.push(e);
-        }
-        assert_eq!(mat, streamed);
-        assert_eq!(
-            merged.total_queries(),
-            trace.queries.len() as u64 + adv.total_events(start, end)
-        );
-        // Merged order is non-decreasing in time.
-        assert!(streamed.windows(2).all(|w| w[0].at <= w[1].at));
     }
 }

@@ -1,13 +1,15 @@
 //! The simulation driver: trace replay with interleaved renewal events,
 //! occupancy sampling and cache maintenance.
 
+use crate::adversary::{AdversaryEvents, CompiledAdversary, ADVERSARY_CLIENT};
 use crate::{CompiledAttack, ServerFarm, SimNet};
 use dns_core::{SimDuration, SimTime, Ttl};
 use dns_resolver::{
     CachingServer, GapSample, OccupancySample, ResolverConfig, ResolverMetrics, RootHints,
 };
-use dns_trace::{QueryEvent, QueryStream, Trace, TraceCursor, Universe};
+use dns_trace::{QueryEvent, QueryStream, Trace, TraceReplay, Universe};
 use std::fmt;
+use std::iter::Peekable;
 use std::sync::Arc;
 
 /// The single source of scheme display labels, shared by
@@ -93,121 +95,77 @@ impl fmt::Display for SimReport {
     }
 }
 
-/// Where replayed queries come from: a materialized [`Trace`] indexed in
-/// place, or a [`QueryStream`] pulled with a lookahead of exactly one
-/// event — `O(1)` replay memory at any trace length.
-#[derive(Debug)]
-enum Feed {
-    Trace { trace: Arc<Trace>, pos: usize },
-    Stream(StreamFeed),
-}
-
-struct StreamFeed {
+/// Where replayed queries come from: a [`QueryStream`] pulled with a
+/// lookahead of exactly one event — `O(1)` replay memory for a
+/// generated stream at any trace length — plus, optionally, an
+/// adversary flood merged in by time (see [`Simulation::set_adversary`]).
+struct Feed {
     stream: Box<dyn QueryStream>,
-    /// The next undelivered event (bounded lookahead of one).
+    /// The next undelivered stream event (bounded lookahead of one).
     next: Option<QueryEvent>,
-    /// Stream position *before* `next` — resuming from it regenerates
-    /// the buffered event first, so a paused simulation's cursor is
-    /// exact.
-    cursor: TraceCursor,
+    /// Events delivered since the trace start, adversary events
+    /// included; forks carry it on.
     pulled: u64,
-}
-
-impl StreamFeed {
-    fn new(mut stream: Box<dyn QueryStream>) -> Self {
-        let cursor = stream.cursor();
-        // Count from the trace start, not the resume point, so a fork
-        // resumed mid-trace reports `processed()` like a materialized
-        // replay would.
-        let pulled = cursor.emitted();
-        let next = stream.next_event();
-        StreamFeed {
-            stream,
-            next,
-            cursor,
-            pulled,
-        }
-    }
-}
-
-impl fmt::Debug for StreamFeed {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("StreamFeed")
-            .field("trace", &self.stream.trace_name())
-            .field("pulled", &self.pulled)
-            .finish_non_exhaustive()
-    }
+    flood: Option<Peekable<AdversaryEvents>>,
+    /// Events the flood emits in total.
+    flood_total: u64,
 }
 
 impl Feed {
-    /// Timestamp of the next query, if any.
-    fn peek_at(&self) -> Option<SimTime> {
-        match self {
-            Feed::Trace { trace, pos } => trace.queries.get(*pos).map(|q| q.at),
-            Feed::Stream(s) => s.next.as_ref().map(|q| q.at),
+    fn new(mut stream: Box<dyn QueryStream>) -> Self {
+        let next = stream.next_event();
+        Feed {
+            stream,
+            next,
+            pulled: 0,
+            flood: None,
+            flood_total: 0,
         }
     }
 
-    /// Delivers the next query.
-    fn pop(&mut self) -> Option<QueryEvent> {
-        match self {
-            Feed::Trace { trace, pos } => {
-                let q = trace.queries.get(*pos)?.clone();
-                *pos += 1;
-                Some(q)
+    /// An independent copy at the same position.
+    fn fork(&self) -> Feed {
+        Feed {
+            stream: self.stream.fork(),
+            next: self.next.clone(),
+            pulled: self.pulled,
+            flood: self.flood.clone(),
+            flood_total: self.flood_total,
+        }
+    }
+
+    /// Timestamp of the next event, if any.
+    fn peek_at(&mut self) -> Option<SimTime> {
+        let base = self.next.as_ref().map(|q| q.at);
+        let flood = self.flood.as_mut().and_then(|f| f.peek()).map(|q| q.at);
+        base.into_iter().chain(flood).min()
+    }
+
+    /// Delivers the next event if it is due before `until`: events in
+    /// time order, stream events first on ties.
+    fn pop_before(&mut self, until: SimTime) -> Option<QueryEvent> {
+        let next = &self.next;
+        let due = |q: &QueryEvent| q.at < until && next.as_ref().is_none_or(|b| q.at < b.at);
+        let event = match self.flood.as_mut().and_then(|f| f.next_if(due)) {
+            Some(q) => q,
+            None => {
+                if self.next.as_ref().is_none_or(|q| q.at >= until) {
+                    return None;
+                }
+                std::mem::replace(&mut self.next, self.stream.next_event())?
             }
-            Feed::Stream(s) => {
-                let q = s.next.take()?;
-                s.cursor = s.stream.cursor();
-                s.next = s.stream.next_event();
-                s.pulled += 1;
-                Some(q)
-            }
-        }
+        };
+        self.pulled += 1;
+        Some(event)
     }
+}
 
-    fn name(&self) -> &str {
-        match self {
-            Feed::Trace { trace, .. } => &trace.name,
-            Feed::Stream(s) => s.stream.trace_name(),
-        }
-    }
-
-    fn days(&self) -> u64 {
-        match self {
-            Feed::Trace { trace, .. } => trace.days,
-            Feed::Stream(s) => s.stream.days(),
-        }
-    }
-
-    fn processed(&self) -> usize {
-        match self {
-            Feed::Trace { pos, .. } => *pos,
-            Feed::Stream(s) => s.pulled as usize,
-        }
-    }
-
-    fn total_queries(&self) -> u64 {
-        match self {
-            Feed::Trace { trace, .. } => trace.queries.len() as u64,
-            Feed::Stream(s) => s.stream.total_queries(),
-        }
-    }
-
-    /// The latest virtual time replay must reach to cover every query
-    /// and the full trace horizon. Streamed events never leave the
-    /// `days` horizon by construction (hour < days × 24, offset < 1 h).
-    fn end_horizon(&self) -> SimTime {
-        let horizon = SimTime::from_days(self.days());
-        match self {
-            Feed::Trace { trace, .. } => trace
-                .queries
-                .last()
-                .map(|q| q.at)
-                .unwrap_or(horizon)
-                .max(horizon),
-            Feed::Stream(_) => horizon,
-        }
+impl fmt::Debug for Feed {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Feed")
+            .field("trace", &self.stream.trace_name())
+            .field("pulled", &self.pulled)
+            .finish_non_exhaustive()
     }
 }
 
@@ -218,12 +176,14 @@ impl Feed {
 /// Replay can be paused at any virtual time ([`Simulation::run_until`])
 /// and forked ([`Simulation::fork`]); the attack-duration sweeps share a
 /// single warmed-up simulation this way. Forks deep-copy the caching
-/// server ([`CachingServer::fork`]); the type is not `Clone`, so no copy
-/// can share its cache with the original.
+/// server ([`CachingServer::fork`]) and fork the query stream
+/// ([`QueryStream::fork`]); the type is not `Clone`, so no copy can share
+/// its cache with the original.
 ///
-/// The query source is either a materialized [`Trace`] or a boxed
-/// [`QueryStream`] ([`Simulation::shared_streaming`]) replayed with a
-/// lookahead of one event; streamed replay never holds the trace in
+/// Queries come from one boxed [`QueryStream`] replayed with a lookahead
+/// of one event: a materialized [`Trace`] through [`TraceReplay`]
+/// ([`Simulation::new`]), or a generated stream
+/// ([`Simulation::shared_streaming`]) that never holds the trace in
 /// memory.
 #[derive(Debug)]
 pub struct Simulation {
@@ -236,15 +196,14 @@ pub struct Simulation {
     next_occupancy: Option<SimTime>,
     next_purge: SimTime,
     /// Adversary-tagged queries replayed / failed (see
-    /// [`crate::adversary::ADVERSARY_CLIENT`]); zero without an
-    /// adversary feed.
+    /// [`ADVERSARY_CLIENT`]); zero without an adversary flood.
     adversary: AdversaryStats,
 }
 
 /// Attacker-side accounting for one replay: queries tagged with
-/// [`crate::adversary::ADVERSARY_CLIENT`] are counted here *in addition
-/// to* the resolver's own metrics, so legitimate-traffic failure ratios
-/// can be recovered by subtraction.
+/// [`ADVERSARY_CLIENT`] are counted here *in addition to* the resolver's
+/// own metrics, so legitimate-traffic failure ratios can be recovered by
+/// subtraction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdversaryStats {
     /// Adversary queries replayed.
@@ -259,64 +218,24 @@ impl Simulation {
     /// override) and seeds the resolver with the universe's root hints.
     pub fn new(universe: &Universe, trace: Trace, config: SimConfig) -> Self {
         let farm = ServerFarm::build(universe, config.long_ttl);
-        Simulation::with_farm(farm, universe, trace, config)
+        let replay = Box::new(TraceReplay::new(trace));
+        Simulation::shared_streaming(Arc::new(farm), universe, replay, config)
     }
 
-    /// Like [`Simulation::new`] but reuses an already-built farm — farm
-    /// construction dominates setup cost, so sweeps that run many schemes
-    /// over the same universe build each farm once and clone it here.
+    /// The constructor behind the sweep engine: replays `stream` over an
+    /// already-built farm. The farm is immutable during replay, so
+    /// concurrent runs over the same universe share one allocation of it
+    /// (farm construction dominates setup cost).
     ///
     /// The caller is responsible for passing a farm built with the same
     /// `long_ttl` as `config` (see [`ServerFarm::build`]); the label and
     /// behaviour diverge otherwise.
-    pub fn with_farm(
-        farm: ServerFarm,
-        universe: &Universe,
-        trace: Trace,
-        config: SimConfig,
-    ) -> Self {
-        Simulation::shared(Arc::new(farm), universe, Arc::new(trace), config)
-    }
-
-    /// The zero-copy constructor behind the sweep engine: both the farm
-    /// and the trace are immutable during replay, so concurrent runs over
-    /// the same universe share one allocation of each instead of cloning.
-    ///
-    /// As with [`Simulation::with_farm`], the farm must have been built
-    /// with the same `long_ttl` as `config`.
-    pub fn shared(
-        farm: Arc<ServerFarm>,
-        universe: &Universe,
-        trace: Arc<Trace>,
-        config: SimConfig,
-    ) -> Self {
-        Simulation::build(farm, universe, Feed::Trace { trace, pos: 0 }, config)
-    }
-
-    /// Builds a streaming replay: queries are pulled from `stream` one
-    /// at a time instead of a materialized trace, so replay memory stays
-    /// `O(1)` in trace length (the sweep engine's path to month-long,
-    /// million-zone traces).
-    pub fn streaming(universe: &Universe, stream: Box<dyn QueryStream>, config: SimConfig) -> Self {
-        let farm = ServerFarm::build(universe, config.long_ttl);
-        Simulation::shared_streaming(Arc::new(farm), universe, stream, config)
-    }
-
-    /// Like [`Simulation::streaming`] over an already-built farm; the
-    /// farm must match `config.long_ttl` (see [`Simulation::with_farm`]).
     pub fn shared_streaming(
         farm: Arc<ServerFarm>,
         universe: &Universe,
         stream: Box<dyn QueryStream>,
         config: SimConfig,
     ) -> Self {
-        let feed = Feed::Stream(StreamFeed::new(stream));
-        Simulation::build(farm, universe, feed, config)
-    }
-
-    /// A fresh replay of `feed` by a caching server seeded with the
-    /// universe's root hints.
-    fn build(farm: Arc<ServerFarm>, universe: &Universe, feed: Feed, config: SimConfig) -> Self {
         let hints = RootHints::new(universe.root_servers().to_vec());
         let cs = CachingServer::new(config.resolver, hints);
         let next_occupancy = config.occupancy_interval.map(|_| SimTime::ZERO);
@@ -325,7 +244,7 @@ impl Simulation {
             config,
             cs,
             net: SimNet::with_shared(farm),
-            feed,
+            feed: Feed::new(stream),
             now: SimTime::ZERO,
             occupancy: Vec::new(),
             next_occupancy,
@@ -347,6 +266,16 @@ impl Simulation {
     /// Panics unless `0.0 <= rate < 1.0`.
     pub fn set_loss(&mut self, rate: f64, seed: u64) {
         self.net.set_loss(rate, seed);
+    }
+
+    /// Merges `adversary`'s flood over `[start, end)` into the replay
+    /// (replacing any previous one), the way [`Simulation::set_attack`]
+    /// configures the network: events arrive in time order, trace queries
+    /// first on ties. The window should not start before
+    /// [`Simulation::now`].
+    pub fn set_adversary(&mut self, adversary: &CompiledAdversary, start: SimTime, end: SimTime) {
+        self.feed.flood = Some(adversary.events(start, end).peekable());
+        self.feed.flood_total = adversary.total_events(start, end);
     }
 
     /// Current virtual time.
@@ -375,34 +304,15 @@ impl Simulation {
         &self.net
     }
 
-    /// The materialized trace being replayed (`None` for streaming
-    /// replays, which never hold one).
-    pub fn trace(&self) -> Option<&Trace> {
-        match &self.feed {
-            Feed::Trace { trace, .. } => Some(trace),
-            Feed::Stream(_) => None,
-        }
-    }
-
-    /// For a streaming replay, the resumable position of the next
-    /// unprocessed query (`None` for materialized replays). Resuming a
-    /// stream from this cursor and [`Simulation::fork_streaming`]-ing
-    /// continues exactly where this simulation paused.
-    pub fn stream_cursor(&self) -> Option<TraceCursor> {
-        match &self.feed {
-            Feed::Trace { .. } => None,
-            Feed::Stream(s) => Some(s.cursor.clone()),
-        }
-    }
-
-    /// Queries processed so far.
+    /// Queries processed so far, adversary events included; a fork
+    /// carries its original's count on, so it counts from the trace
+    /// start.
     pub fn processed(&self) -> usize {
-        self.feed.processed()
+        self.feed.pulled as usize
     }
 
     /// Attacker-side accounting: adversary-tagged queries replayed and
-    /// failed so far (all zero unless the feed carries adversary
-    /// events).
+    /// failed so far (all zero without an adversary flood).
     pub fn adversary_stats(&self) -> AdversaryStats {
         self.adversary
     }
@@ -417,52 +327,15 @@ impl Simulation {
         self.cs.take_gap_samples()
     }
 
-    /// An independent copy sharing the (immutable) trace — used to sweep
-    /// attack durations from one warmed-up state.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a streaming replay (the stream cannot be cloned); use
-    /// [`Simulation::fork_streaming`] with a stream resumed from
-    /// [`Simulation::stream_cursor`] instead.
+    /// An independent copy of the warmed-up state continuing from the
+    /// same position: the caching server is deep-copied and the query
+    /// stream forked — used to sweep attack durations from one warm-up.
     pub fn fork(&self) -> Simulation {
-        let Feed::Trace { trace, pos } = &self.feed else {
-            panic!(
-                "a streaming simulation cannot be forked in place; resume a stream \
-                 from stream_cursor() and call fork_streaming()"
-            );
-        };
-        let feed = Feed::Trace {
-            trace: Arc::clone(trace),
-            pos: *pos,
-        };
-        self.fork_onto(feed)
-    }
-
-    /// Forks a streaming replay: an independent copy of the warmed-up
-    /// state that continues from `stream` — normally one resumed from
-    /// [`Simulation::stream_cursor`] so the fork replays exactly the
-    /// queries this simulation has not yet processed.
-    pub fn fork_streaming(&self, stream: Box<dyn QueryStream>) -> Simulation {
-        self.fork_onto(Feed::Stream(StreamFeed::new(stream)))
-    }
-
-    /// Forks a materialized replay onto a *different* trace: an
-    /// independent copy of the warmed-up state that replays `trace` from
-    /// its start (event timestamps are absolute, so the caller passes
-    /// the unreplayed tail — typically with adversary events merged in,
-    /// see [`crate::adversary::merge_into_tail`]).
-    pub fn fork_with_trace(&self, trace: Arc<Trace>) -> Simulation {
-        self.fork_onto(Feed::Trace { trace, pos: 0 })
-    }
-
-    /// The warmed-up state, deep-copied, continuing from `feed`.
-    fn fork_onto(&self, feed: Feed) -> Simulation {
         Simulation {
             config: self.config.clone(),
             cs: self.cs.fork(),
             net: self.net.clone(),
-            feed,
+            feed: self.feed.fork(),
             now: self.now,
             occupancy: self.occupancy.clone(),
             next_occupancy: self.next_occupancy,
@@ -475,14 +348,11 @@ impl Simulation {
     /// occupancy samples and purges in timestamp order, then advances the
     /// clock to `until`.
     pub fn run_until(&mut self, until: SimTime) {
-        while let Some(at) = self.feed.peek_at() {
-            if at >= until {
-                break;
-            }
+        while let Some(event) = self.feed.pop_before(until) {
+            let at = event.at;
             self.advance_background(at);
-            let event = self.feed.pop().expect("peeked event exists");
             let outcome = self.cs.resolve(&event.question, at, &mut self.net);
-            if event.client == crate::adversary::ADVERSARY_CLIENT {
+            if event.client == ADVERSARY_CLIENT {
                 self.adversary.sent += 1;
                 if outcome.is_failure() {
                     self.adversary.failed += 1;
@@ -494,16 +364,27 @@ impl Simulation {
         self.now = until;
     }
 
-    /// Replays the remainder of the trace.
+    /// Replays the remainder of the trace: up to 1 s past its `days`
+    /// horizon, then on while queries remain (a hand-built trace may run
+    /// past its horizon), ending 1 s after the last one. Splitting
+    /// [`Simulation::run_until`] this way is exact: background events
+    /// fire at their own virtual times either way.
     pub fn run_to_end(&mut self) {
-        self.run_until(self.feed.end_horizon() + SimDuration::from_secs(1));
+        let mut end = SimTime::from_days(self.feed.stream.days());
+        loop {
+            self.run_until(end + SimDuration::from_secs(1));
+            match self.feed.peek_at() {
+                Some(at) => end = at,
+                None => return,
+            }
+        }
     }
 
     /// Produces the run summary.
     pub fn report(&self) -> SimReport {
         SimReport {
             scheme: self.config.label(),
-            trace: self.feed.name().to_string(),
+            trace: self.feed.stream.trace_name().to_string(),
             metrics: self.metrics(),
             occupancy: self.occupancy.clone(),
         }
@@ -545,10 +426,10 @@ impl fmt::Display for Simulation {
             f,
             "simulation {} on {} at {} ({}/{} queries)",
             self.config.label(),
-            self.feed.name(),
+            self.feed.stream.trace_name(),
             self.now,
-            self.feed.processed(),
-            self.feed.total_queries()
+            self.feed.pulled,
+            self.feed.stream.total_queries() + self.feed.flood_total
         )
     }
 }
@@ -556,7 +437,8 @@ impl fmt::Display for Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::AttackScenario;
+    use crate::{AdversarySpec, AttackScenario};
+    use dns_core::{Question, RecordType};
     use dns_resolver::RenewalPolicy;
     use dns_trace::{TraceSpec, UniverseSpec, UniverseTargets};
 
@@ -652,6 +534,33 @@ mod tests {
         );
     }
 
+    /// A trace built by hand: one query per timestamp, for names the
+    /// universe serves.
+    fn hand_trace(u: &Universe, days: u64, at: &[SimTime]) -> Trace {
+        let names = u.query_targets();
+        Trace {
+            name: "HAND".into(),
+            days,
+            clients: 1,
+            queries: at
+                .iter()
+                .zip(names)
+                .map(|(&at, (name, _))| QueryEvent {
+                    at,
+                    client: 0,
+                    question: Question::new(name, RecordType::A),
+                })
+                .collect(),
+        }
+    }
+
+    fn streamed(u: &Universe, config: SimConfig) -> Simulation {
+        let farm = Arc::new(ServerFarm::build(u, config.long_ttl));
+        let wb = TraceSpec::demo().scaled(0.1).workload();
+        let stream = Box::new(wb.stream(UniverseTargets::new(u), 5));
+        Simulation::shared_streaming(farm, u, stream, config)
+    }
+
     #[test]
     fn streaming_replay_matches_materialized() {
         let u = universe();
@@ -660,50 +569,92 @@ mod tests {
         let mut mat = Simulation::new(&u, t, SimConfig::new(ResolverConfig::vanilla()));
         mat.run_to_end();
 
-        let wb = TraceSpec::demo().scaled(0.1).workload();
-        let stream = Box::new(wb.stream(UniverseTargets::new(&u), 5));
-        let mut streamed =
-            Simulation::streaming(&u, stream, SimConfig::new(ResolverConfig::vanilla()));
-        assert!(streamed.trace().is_none());
+        let mut streamed = streamed(&u, SimConfig::new(ResolverConfig::vanilla()));
         streamed.run_to_end();
 
         assert_eq!(streamed.processed(), n);
         assert_eq!(mat.metrics(), streamed.metrics());
+        assert_eq!(mat.now(), streamed.now());
     }
 
     #[test]
-    fn fork_streaming_from_cursor_matches_materialized_fork() {
+    fn run_to_end_replays_queries_past_the_horizon() {
         let u = universe();
-        let targets = UniverseTargets::new(&u);
-        let wb = TraceSpec::demo().scaled(0.1).workload();
+        let at = [
+            SimTime::from_hours(2),
+            SimTime::from_days(2),
+            SimTime::from_days(3) + SimDuration::from_secs(7),
+        ];
+        let config = || SimConfig::new(ResolverConfig::vanilla());
+        let mut sim = Simulation::new(&u, hand_trace(&u, 1, &at), config());
+        sim.run_to_end();
+        assert_eq!(sim.processed(), 3);
+        assert_eq!(sim.metrics().queries_in, 3);
+        assert_eq!(sim.now(), at[2] + SimDuration::from_secs(1));
+
+        let mut sim = Simulation::new(&u, hand_trace(&u, 5, &at), config());
+        sim.run_to_end();
+        assert_eq!(sim.processed(), 3);
+        assert_eq!(sim.now(), SimTime::from_days(5) + SimDuration::from_secs(1));
+    }
+
+    #[test]
+    fn adversary_events_merge_in_time_order() {
+        let u = universe();
+        let secs = |s: u64| SimTime::from_secs(s);
+        let trace = hand_trace(&u, 1, &[secs(10), secs(20), secs(25), secs(40)]);
+        let adversary = AdversarySpec::water_torture(2, 2, 1).compile(&u);
+        let (start, end) = (secs(20), secs(23));
+
+        let mut feed = Feed::new(Box::new(TraceReplay::new(trace.clone())));
+        feed.flood = Some(adversary.events(start, end).peekable());
+        let merged: Vec<QueryEvent> =
+            std::iter::from_fn(|| feed.pop_before(SimTime::MAX)).collect();
+        let at: Vec<u64> = merged.iter().map(|q| q.at.as_secs()).collect();
+        assert_eq!(at, [10, 20, 20, 20, 21, 21, 22, 22, 25, 40]);
+        // The trace query comes first on the tie at 20 s.
+        assert_ne!(merged[1].client, ADVERSARY_CLIENT);
+        let flood: Vec<&QueryEvent> = merged
+            .iter()
+            .filter(|q| q.client == ADVERSARY_CLIENT)
+            .collect();
+        assert_eq!(flood.len(), 6);
+        assert!(flood.iter().all(|q| q.at >= start && q.at < end));
+
+        let mut sim = Simulation::new(&u, trace, SimConfig::new(ResolverConfig::vanilla()));
+        sim.set_adversary(&adversary, start, end);
+        sim.run_until(secs(21));
+        assert_eq!(sim.adversary_stats().sent, 2);
+        assert_eq!(sim.processed(), 4);
+        sim.run_to_end();
+        assert_eq!(sim.adversary_stats().sent, 6);
+        assert_eq!(sim.processed(), 10);
+        assert_eq!(sim.metrics().queries_in, 10);
+    }
+
+    #[test]
+    fn streamed_fork_matches_materialized_fork() {
+        let u = universe();
         let attack =
             AttackScenario::root_and_tlds(SimTime::from_days(6), SimDuration::from_hours(24));
+        let config = || SimConfig::new(ResolverConfig::vanilla());
 
-        // Materialized reference: warm, fork, attack.
-        let mut warm = Simulation::new(
-            &u,
-            small_trace(&u),
-            SimConfig::new(ResolverConfig::vanilla()),
-        );
-        warm.run_until(SimTime::from_days(6));
-        let mut attacked = warm.fork();
-        attacked.set_attack(attack.compile(&u));
-        attacked.run_to_end();
+        // Warm each replay to the attack, fork it, attack the fork.
+        let attacked = |mut warm: Simulation| {
+            warm.run_until(SimTime::from_days(6));
+            let processed = warm.processed();
+            let mut fork = warm.fork();
+            assert_eq!(fork.processed(), processed);
+            fork.set_attack(attack.compile(&u));
+            fork.run_to_end();
+            fork
+        };
+        let mat = attacked(Simulation::new(&u, small_trace(&u), config()));
+        let streamed = attacked(streamed(&u, config()));
 
-        // Streaming: warm, resume the stream at the paused cursor, fork.
-        let stream = Box::new(wb.stream(targets.clone(), 5));
-        let mut swarm =
-            Simulation::streaming(&u, stream, SimConfig::new(ResolverConfig::vanilla()));
-        swarm.run_until(SimTime::from_days(6));
-        assert_eq!(swarm.processed(), warm.processed());
-        let cursor = swarm.stream_cursor().expect("streaming feed has a cursor");
-        assert_eq!(cursor.emitted(), swarm.processed() as u64);
-        let mut sattacked = swarm.fork_streaming(Box::new(wb.resume(targets, 5, &cursor)));
-        sattacked.set_attack(attack.compile(&u));
-        sattacked.run_to_end();
-
-        assert_eq!(attacked.processed(), sattacked.processed());
-        assert_eq!(attacked.metrics(), sattacked.metrics());
+        assert_eq!(mat.processed(), streamed.processed());
+        assert_eq!(mat.metrics(), streamed.metrics());
+        assert!(mat.metrics().failed_in > 0);
     }
 
     #[test]

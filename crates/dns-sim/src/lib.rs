@@ -10,7 +10,8 @@
 //!   at the start of day 7),
 //! * [`SimNet`] — the [`Upstream`](dns_resolver::Upstream) implementation
 //!   that routes resolver queries to the farm, subject to the attack,
-//! * [`Simulation`] — replays a [`Trace`](dns_trace::Trace) through a
+//! * [`Simulation`] — replays a [`Trace`](dns_trace::Trace) or any
+//!   [`QueryStream`](dns_trace::QueryStream) through a
 //!   [`CachingServer`](dns_resolver::CachingServer), interleaving renewal
 //!   events, occupancy sampling and metric snapshots,
 //! * [`experiment`] — schemes, outcome types and the paper's constants,
@@ -54,12 +55,10 @@ mod network;
 mod rss;
 pub mod sweep;
 
-pub use adversary::{
-    AdversaryKind, AdversarySpec, CompiledAdversary, MergedStream, ADVERSARY_CLIENT,
-};
+pub use adversary::{AdversaryKind, AdversarySpec, CompiledAdversary, ADVERSARY_CLIENT};
 pub use attack::{AttackScenario, Blackout, CompiledAttack};
 pub use driver::{scheme_label, AdversaryStats, SimConfig, SimReport, Simulation};
 pub use farm::ServerFarm;
 pub use network::{NetworkStats, SimNet};
 pub use rss::peak_rss_kb;
-pub use sweep::{ExperimentSpec, GapOutcome, RunManifest, StreamSource, SweepOutcome, UnitRecord};
+pub use sweep::{ExperimentSpec, GapOutcome, RunManifest, SweepOutcome, UnitRecord};

@@ -16,8 +16,8 @@
 //!   order, so the outcome vectors — and therefore every CSV derived
 //!   from them — are identical no matter how many threads ran.
 //! * **Run manifest.** Each sweep records per-unit wall clock, queries
-//!   replayed, events processed, cache-occupancy peak, worker id and
-//!   seed; see [`RunManifest`].
+//!   replayed, events processed, cache-occupancy peak and worker id; see
+//!   [`RunManifest`].
 //!
 //! ```rust
 //! use dns_sim::sweep::ExperimentSpec;
@@ -36,14 +36,14 @@
 //! assert_eq!(outcome.manifest.units.len(), 1);
 //! ```
 
-use crate::adversary::{merge_into_tail, AdversarySpec, MergedStream};
+use crate::adversary::AdversarySpec;
 use crate::experiment::{AdversarialOutcome, AttackOutcome, OverheadOutcome, Scheme};
 use crate::{AttackScenario, ServerFarm, Simulation};
 use dns_core::{SimDuration, SimTime, Ttl};
 use dns_obs::LogHistogram;
 use dns_resolver::{GapSample, ResolverMetrics};
 use dns_stats::{manifest_table, ManifestRow, Table};
-use dns_trace::{Trace, TraceSpec, Universe, UniverseTargets};
+use dns_trace::{QueryStream, Trace, TraceReplay, TraceSpec, Universe, UniverseTargets};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -58,8 +58,7 @@ pub const THREADS_ENV: &str = "DNS_SIM_THREADS";
 /// one farm per long-TTL setting across all runs.
 pub struct ExperimentSpec<'a> {
     universe: &'a Universe,
-    traces: Vec<Arc<Trace>>,
-    stream_traces: Vec<StreamSource>,
+    sources: Vec<TraceRef>,
     schemes: Vec<Scheme>,
     attack: Option<(SimTime, Vec<SimDuration>)>,
     adversaries: Vec<(AdversarySpec, SimTime, SimDuration)>,
@@ -67,7 +66,6 @@ pub struct ExperimentSpec<'a> {
     gaps: bool,
     farms: HashMap<Option<Ttl>, Arc<ServerFarm>>,
     threads: Option<usize>,
-    seed: u64,
 }
 
 impl<'a> ExperimentSpec<'a> {
@@ -76,8 +74,7 @@ impl<'a> ExperimentSpec<'a> {
     pub fn new(universe: &'a Universe) -> Self {
         ExperimentSpec {
             universe,
-            traces: Vec::new(),
-            stream_traces: Vec::new(),
+            sources: Vec::new(),
             schemes: Vec::new(),
             attack: None,
             adversaries: Vec::new(),
@@ -85,20 +82,20 @@ impl<'a> ExperimentSpec<'a> {
             gaps: false,
             farms: HashMap::new(),
             threads: None,
-            seed: 0,
         }
     }
 
     /// Adds one trace (owned traces and `Arc<Trace>` both work; sweeps
     /// never clone the underlying queries).
     pub fn trace(mut self, trace: impl Into<Arc<Trace>>) -> Self {
-        self.traces.push(trace.into());
+        self.sources.push(TraceRef::Mat(trace.into()));
         self
     }
 
     /// Adds many traces.
     pub fn traces<T: Into<Arc<Trace>>>(mut self, traces: impl IntoIterator<Item = T>) -> Self {
-        self.traces.extend(traces.into_iter().map(Into::into));
+        self.sources
+            .extend(traces.into_iter().map(|t| TraceRef::Mat(t.into())));
         self
     }
 
@@ -107,10 +104,9 @@ impl<'a> ExperimentSpec<'a> {
     /// and bounded (one-event) lookahead — the trace is never
     /// materialized, so replay memory is `O(zones)` at any query count.
     /// Outcomes are byte-identical to replaying
-    /// `spec.generate(universe, seed)`. Streamed traces order after all
-    /// materialized traces in spec order.
+    /// `spec.generate(universe, seed)`.
     pub fn stream_trace(mut self, spec: TraceSpec, seed: u64) -> Self {
-        self.stream_traces.push(StreamSource { spec, seed });
+        self.sources.push(TraceRef::Stream { spec, seed });
         self
     }
 
@@ -140,9 +136,9 @@ impl<'a> ExperimentSpec<'a> {
     /// once with legitimate traffic only (baseline) and once with
     /// `adversary`'s flood merged in — producing one
     /// [`AdversarialOutcome`] per (trace, scheme). Streamed traces stay
-    /// streamed: the flood is composed through
-    /// [`MergedStream`](crate::adversary::MergedStream) with bounded
-    /// lookahead. May be called repeatedly to sweep several adversaries.
+    /// streamed: the replay merges the flood in with bounded lookahead
+    /// ([`Simulation::set_adversary`]). May be called repeatedly to sweep
+    /// several adversaries.
     pub fn adversarial(
         mut self,
         adversary: AdversarySpec,
@@ -183,14 +179,6 @@ impl<'a> ExperimentSpec<'a> {
         self
     }
 
-    /// Sets the seed recorded in the manifest and used for any
-    /// randomised network behaviour (reserved; replay itself is
-    /// deterministic).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     fn resolved_threads_hint(&self) -> usize {
         let configured = self.threads.or_else(|| {
             std::env::var(THREADS_ENV)
@@ -213,7 +201,7 @@ impl<'a> ExperimentSpec<'a> {
     /// the caller, not a valid experiment.
     pub fn run(self) -> SweepOutcome {
         assert!(
-            !self.traces.is_empty() || !self.stream_traces.is_empty(),
+            !self.sources.is_empty(),
             "ExperimentSpec needs at least one trace"
         );
         assert!(
@@ -238,18 +226,11 @@ impl<'a> ExperimentSpec<'a> {
                 .or_insert_with(|| Arc::new(ServerFarm::build(self.universe, scheme.long_ttl)));
         }
 
-        // Unit list in spec order (materialized traces first, then
-        // streamed); each unit is one (trace, scheme, kind) cell and
-        // owns only Arcs + Copy data, so units move into worker threads
-        // freely.
-        let sources: Vec<TraceRef> = self
-            .traces
-            .iter()
-            .map(|t| TraceRef::Mat(Arc::clone(t)))
-            .chain(self.stream_traces.iter().cloned().map(TraceRef::Stream))
-            .collect();
+        // Unit list in spec order (traces in the order added); each unit
+        // is one (trace, scheme, kind) cell and owns only Arcs + Copy
+        // data, so units move into worker threads freely.
         let mut units: Vec<Unit> = Vec::new();
-        for source in &sources {
+        for source in &self.sources {
             for scheme in &self.schemes {
                 let farm = Arc::clone(&farms[&scheme.long_ttl]);
                 if let Some((start, durations)) = &self.attack {
@@ -296,13 +277,12 @@ impl<'a> ExperimentSpec<'a> {
 
         let threads = threads_hint.min(units.len().max(1));
         let universe = self.universe;
-        let seed = self.seed;
         let started = Instant::now();
 
         let mut results: Vec<Option<UnitResult>> = if threads == 1 {
             units
                 .iter()
-                .map(|u| Some(run_unit(u, universe, seed, 0)))
+                .map(|u| Some(run_unit(u, universe, 0)))
                 .collect()
         } else {
             // Work-stealing by atomic index: workers pull the next unit
@@ -319,7 +299,7 @@ impl<'a> ExperimentSpec<'a> {
                     scope.spawn(move || loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         let Some(unit) = units.get(i) else { break };
-                        let result = run_unit(unit, universe, seed, worker);
+                        let result = run_unit(unit, universe, worker);
                         *slots[i].lock().unwrap() = Some(result);
                     });
                 }
@@ -433,7 +413,6 @@ impl RunManifest {
                 peak_records: u.peak_records,
                 peak_rss_kb: u.peak_rss_kb,
                 worker: u.worker,
-                seed: u.seed,
                 lat_p50_ms: u.latency.p50(),
                 lat_p90_ms: u.latency.p90(),
                 lat_p99_ms: u.latency.p99(),
@@ -498,8 +477,6 @@ pub struct UnitRecord {
     pub peak_rss_kb: u64,
     /// Worker thread that executed the unit.
     pub worker: usize,
-    /// Seed recorded for the unit.
-    pub seed: u64,
     /// Modelled resolution-latency distribution over the unit's
     /// measured windows (virtual ms; attack units merge their
     /// per-duration windows, full-trace units cover the whole replay).
@@ -540,30 +517,34 @@ impl UnitKind {
     }
 }
 
-/// A seeded, never-materialized trace: the sweep engine replays it
-/// straight from the generator (see [`ExperimentSpec::stream_trace`]).
-#[derive(Debug, Clone)]
-pub struct StreamSource {
-    /// The trace preset to stream.
-    pub spec: TraceSpec,
-    /// Generation seed — streaming `spec` with it is byte-identical to
-    /// `spec.generate(universe, seed)`.
-    pub seed: u64,
-}
-
 /// One trace as the unit executor sees it: materialized and shared, or
-/// regenerated on demand from a seeded stream.
+/// a seeded preset generated on demand and never materialized (see
+/// [`ExperimentSpec::stream_trace`]).
 #[derive(Clone)]
 enum TraceRef {
     Mat(Arc<Trace>),
-    Stream(StreamSource),
+    Stream { spec: TraceSpec, seed: u64 },
 }
 
 impl TraceRef {
     fn name(&self) -> &str {
         match self {
             TraceRef::Mat(trace) => &trace.name,
-            TraceRef::Stream(s) => s.spec.name,
+            TraceRef::Stream { spec, .. } => spec.name,
+        }
+    }
+
+    /// A replay of the trace from its first query. A generated stream
+    /// draws names from a target table built here; forks share it and
+    /// copy only the stream's own state (its popularity tables and the
+    /// current hour's arrival offsets).
+    fn open(&self, universe: &Universe) -> Box<dyn QueryStream> {
+        match self {
+            TraceRef::Mat(trace) => Box::new(TraceReplay::new(Arc::clone(trace))),
+            TraceRef::Stream { spec, seed } => {
+                let targets = UniverseTargets::new(universe);
+                Box::new(spec.workload().stream(targets, *seed))
+            }
         }
     }
 }
@@ -588,29 +569,11 @@ fn event_count(m: &ResolverMetrics) -> u64 {
     m.queries_in + m.queries_out + m.refreshes + m.renewals_sent
 }
 
-fn run_unit(unit: &Unit, universe: &Universe, seed: u64, worker: usize) -> UnitResult {
+fn run_unit(unit: &Unit, universe: &Universe, worker: usize) -> UnitResult {
     let started = Instant::now();
-    // Streaming units share one target table across the warm-up and
-    // every resumed fork — the unit's only `O(zones)` allocation; the
-    // stream itself holds just the current hour's arrival offsets.
-    let targets = match &unit.source {
-        TraceRef::Stream(_) => Some(UniverseTargets::new(universe)),
-        TraceRef::Mat(_) => None,
-    };
-    let make_sim = |config| match &unit.source {
-        TraceRef::Mat(trace) => {
-            Simulation::shared(Arc::clone(&unit.farm), universe, Arc::clone(trace), config)
-        }
-        TraceRef::Stream(s) => Simulation::shared_streaming(
-            Arc::clone(&unit.farm),
-            universe,
-            Box::new(
-                s.spec
-                    .workload()
-                    .stream(targets.clone().expect("targets built for streams"), s.seed),
-            ),
-            config,
-        ),
+    let make_sim = |config| {
+        let stream = unit.source.open(universe);
+        Simulation::shared_streaming(Arc::clone(&unit.farm), universe, stream, config)
     };
     let mut attacks = Vec::new();
     let mut adversarial = None;
@@ -631,20 +594,7 @@ fn run_unit(unit: &Unit, universe: &Universe, seed: u64, worker: usize) -> UnitR
             occupancy_hist.record(warm_records);
             let mut peak = warm_records;
             for &duration in durations {
-                // Materialized forks clone the warm state and keep
-                // indexing the shared trace; streaming forks resume a
-                // fresh stream at the warm-up's exact cursor.
-                let mut sim = match &unit.source {
-                    TraceRef::Mat(_) => warm.fork(),
-                    TraceRef::Stream(s) => {
-                        let cursor = warm.stream_cursor().expect("streaming sims carry cursors");
-                        warm.fork_streaming(Box::new(s.spec.workload().resume(
-                            targets.clone().expect("targets built for streams"),
-                            s.seed,
-                            &cursor,
-                        )))
-                    }
-                };
+                let mut sim = warm.fork();
                 sim.set_attack(AttackScenario::root_and_tlds(*start, duration).compile(universe));
                 let before = sim.metrics();
                 let end = *start + duration;
@@ -689,43 +639,13 @@ fn run_unit(unit: &Unit, universe: &Universe, seed: u64, worker: usize) -> UnitR
             let end = *start + *duration;
 
             // Baseline fork: the window with legitimate traffic only.
-            let mut baseline = match &unit.source {
-                TraceRef::Mat(_) => warm.fork(),
-                TraceRef::Stream(s) => {
-                    let cursor = warm.stream_cursor().expect("streaming sims carry cursors");
-                    warm.fork_streaming(Box::new(s.spec.workload().resume(
-                        targets.clone().expect("targets built for streams"),
-                        s.seed,
-                        &cursor,
-                    )))
-                }
-            };
+            let mut baseline = warm.fork();
             baseline.run_until(end);
             let base_window = baseline.metrics() - warm_metrics;
 
-            // Attacked fork: the same window with the flood merged in,
-            // streamed with bounded lookahead for streamed sources.
-            let mut attacked = match &unit.source {
-                TraceRef::Mat(trace) => {
-                    let tail = &trace.queries[warm.processed()..];
-                    let merged = merge_into_tail(tail, &compiled, *start, end);
-                    warm.fork_with_trace(Arc::new(Trace {
-                        name: trace.name.clone(),
-                        days: trace.days,
-                        clients: trace.clients,
-                        queries: merged,
-                    }))
-                }
-                TraceRef::Stream(s) => {
-                    let cursor = warm.stream_cursor().expect("streaming sims carry cursors");
-                    let base = Box::new(s.spec.workload().resume(
-                        targets.clone().expect("targets built for streams"),
-                        s.seed,
-                        &cursor,
-                    ));
-                    warm.fork_streaming(Box::new(MergedStream::new(base, &compiled, *start, end)))
-                }
-            };
+            // Attacked fork: the same window with the flood merged in.
+            let mut attacked = warm.fork();
+            attacked.set_adversary(&compiled, *start, end);
             attacked.run_until(end);
             let atk_window = attacked.metrics() - warm_metrics;
             let adv = attacked.adversary_stats();
@@ -820,7 +740,6 @@ fn run_unit(unit: &Unit, universe: &Universe, seed: u64, worker: usize) -> UnitR
             peak_records,
             peak_rss_kb: crate::rss::peak_rss_kb(),
             worker,
-            seed,
             latency,
             occupancy: occupancy_hist,
             counters,

@@ -11,8 +11,8 @@ use dns_core::{SimDuration, SimTime};
 use dns_resolver::DefensePolicy;
 use dns_sim::experiment::{AdversarialOutcome, Scheme};
 use dns_sim::sweep::ExperimentSpec;
-use dns_sim::{adversary::merge_into_tail, AdversarySpec, Simulation};
-use dns_trace::{NxnsBombSpec, Trace, TraceSpec, Universe, UniverseSpec};
+use dns_sim::{AdversarySpec, Simulation};
+use dns_trace::{NxnsBombSpec, TraceSpec, Universe, UniverseSpec};
 
 const TRACE_SEED: u64 = 42;
 const ATTACK_QPS: u32 = 2;
@@ -182,15 +182,8 @@ fn negative_cache_budget_holds_under_water_torture() {
     let start = attack_start();
     let end = start + WINDOW;
     let run = |scheme: Scheme| {
-        let mut warm = Simulation::new(&u, trace.clone(), scheme.sim_config());
-        warm.run_until(start);
-        let tail = merge_into_tail(&trace.queries[warm.processed()..], &adv, start, end);
-        let mut sim = warm.fork_with_trace(std::sync::Arc::new(Trace {
-            name: trace.name.clone(),
-            days: trace.days,
-            clients: trace.clients,
-            queries: tail,
-        }));
+        let mut sim = Simulation::new(&u, trace.clone(), scheme.sim_config());
+        sim.set_adversary(&adv, start, end);
         sim.run_until(end);
         sim
     };

@@ -3,8 +3,10 @@
 
 use dns_core::{SimDuration, SimTime, Ttl};
 use dns_resolver::{RenewalPolicy, ResolverConfig};
-use dns_sim::{AttackScenario, SimConfig, Simulation};
-use dns_trace::{Trace, Universe, UniverseSpec, UniverseTargets, WorkloadBuilder};
+use dns_sim::{AttackScenario, ServerFarm, SimConfig, Simulation};
+use dns_trace::{
+    QueryStream, Trace, TraceReplay, Universe, UniverseSpec, UniverseTargets, WorkloadBuilder,
+};
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 
@@ -74,46 +76,31 @@ proptest! {
     /// Forks are perfect, independent copies: a fork run to the end from
     /// the pause point yields exactly the counters the original then
     /// yields. The fork runs first, so a fork sharing the original's
-    /// cache would warm it and fail the comparison. Covers every fork
-    /// flavour: in place, onto a stream resumed from `stream_cursor()`,
-    /// and onto the materialized tail.
+    /// cache or stream would disturb it and fail the comparison. Covers
+    /// both sources — a materialized trace's replay and a generated
+    /// stream — which must also agree with each other.
     #[test]
     fn fork_is_deterministic(seed in 0u64..1_000) {
         let config = || SimConfig::new(ResolverConfig::with_refresh());
         let pause = SimTime::from_days(1);
-        let t = trace(seed, 600);
-
-        let mut sim = Simulation::new(universe(), t.clone(), config());
-        sim.run_until(pause);
-        let mut fork = sim.fork();
-        fork.run_to_end();
-        sim.run_to_end();
-        let reference = sim.metrics();
-        prop_assert_eq!(fork.metrics(), reference);
-
-        let targets = UniverseTargets::new(universe());
-        let stream = Box::new(workload(600).stream(targets.clone(), seed));
-        let mut sim = Simulation::streaming(universe(), stream, config());
-        sim.run_until(pause);
-        let cursor = sim.stream_cursor().expect("streaming feed has a cursor");
-        let resumed = Box::new(workload(600).resume(targets, seed, &cursor));
-        let mut fork = sim.fork_streaming(resumed);
-        fork.run_to_end();
-        sim.run_to_end();
-        prop_assert_eq!(fork.metrics(), reference);
-        prop_assert_eq!(sim.metrics(), reference);
-
-        let mut sim = Simulation::new(universe(), t.clone(), config());
-        sim.run_until(pause);
-        let tail = Trace {
-            queries: t.queries[sim.processed()..].to_vec(),
-            ..t
-        };
-        let mut fork = sim.fork_with_trace(Arc::new(tail));
-        fork.run_to_end();
-        sim.run_to_end();
-        prop_assert_eq!(fork.metrics(), reference);
-        prop_assert_eq!(sim.metrics(), reference);
+        let farm = Arc::new(ServerFarm::build(universe(), config().long_ttl));
+        let sources: [Box<dyn QueryStream>; 2] = [
+            Box::new(TraceReplay::new(trace(seed, 600))),
+            Box::new(workload(600).stream(UniverseTargets::new(universe()), seed)),
+        ];
+        let mut reference = None;
+        for stream in sources {
+            let mut sim =
+                Simulation::shared_streaming(Arc::clone(&farm), universe(), stream, config());
+            sim.run_until(pause);
+            let mut fork = sim.fork();
+            fork.run_to_end();
+            sim.run_to_end();
+            let reference = *reference.get_or_insert(sim.metrics());
+            prop_assert_eq!(fork.metrics(), reference);
+            prop_assert_eq!(sim.metrics(), reference);
+            prop_assert_eq!(fork.processed(), sim.processed());
+        }
     }
 
     /// An attack never *reduces* client-visible failures, and removing it

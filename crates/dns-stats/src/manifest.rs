@@ -2,7 +2,7 @@
 //!
 //! The sweep engine in `dns-sim` records one row per run unit (wall
 //! clock, queries replayed, events processed, cache-occupancy peak,
-//! worker id, seed, latency percentiles and named counter columns). This
+//! worker id, latency percentiles and named counter columns). This
 //! module turns those rows into a [`Table`] so every bench binary prints
 //! and exports the same manifest format.
 
@@ -34,8 +34,6 @@ pub struct ManifestRow {
     pub peak_rss_kb: u64,
     /// Id of the worker thread that executed the unit.
     pub worker: usize,
-    /// RNG seed the unit ran with.
-    pub seed: u64,
     /// Median modelled resolution latency over the unit's measured
     /// windows, in virtual milliseconds.
     pub lat_p50_ms: u64,
@@ -51,7 +49,7 @@ pub struct ManifestRow {
 
 /// Headers of the fixed leading columns, shared with the CSV form; each
 /// row's [`ManifestRow::counters`] name the columns that follow.
-pub const MANIFEST_HEADERS: [&str; 15] = [
+pub const MANIFEST_HEADERS: [&str; 14] = [
     "unit",
     "kind",
     "trace",
@@ -63,7 +61,6 @@ pub const MANIFEST_HEADERS: [&str; 15] = [
     "peak_records",
     "peak_rss_kb",
     "worker",
-    "seed",
     "lat_p50_ms",
     "lat_p90_ms",
     "lat_p99_ms",
@@ -103,7 +100,6 @@ pub fn manifest_table(rows: &[ManifestRow]) -> Table {
             r.peak_records.to_string(),
             r.peak_rss_kb.to_string(),
             r.worker.to_string(),
-            r.seed.to_string(),
             r.lat_p50_ms.to_string(),
             r.lat_p90_ms.to_string(),
             r.lat_p99_ms.to_string(),
@@ -131,7 +127,6 @@ mod tests {
             peak_records: 900,
             peak_rss_kb: 45_000,
             worker: 0,
-            seed: 42,
             lat_p50_ms: 40,
             lat_p90_ms: 1_087,
             lat_p99_ms: 2_047,

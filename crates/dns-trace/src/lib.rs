@@ -44,7 +44,7 @@ mod zipf;
 pub use intern::{InternedNamespace, NameId, NameTable, NameTableBuilder};
 pub use namespace::{NxnsBombSpec, Universe, UniverseSpec, ZoneSpec};
 pub use spec::TraceSpec;
-pub use stream::{QueryStream, TargetSource, TraceCursor, TraceStream, UniverseTargets};
+pub use stream::{QueryStream, TargetSource, TraceReplay, TraceStream, UniverseTargets};
 pub use trace::{QueryEvent, Trace, TraceStats};
 pub use ttl_model::TtlModel;
 pub use workload::WorkloadBuilder;

@@ -113,8 +113,7 @@ impl TraceSpec {
     }
 
     /// The workload builder this spec describes — the entry point for
-    /// streaming replay ([`WorkloadBuilder::stream`]) and cursor resume
-    /// ([`WorkloadBuilder::resume`]).
+    /// streaming replay ([`WorkloadBuilder::stream`]).
     pub fn workload(&self) -> WorkloadBuilder {
         WorkloadBuilder::new(self.name, self.days, self.clients, self.total_queries)
     }

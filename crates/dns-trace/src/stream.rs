@@ -12,11 +12,11 @@
 //! bytes per trace query at week scale versus ~64+ for a materialized
 //! [`QueryEvent`]).
 //!
-//! [`TraceStream::cursor`] captures a resumable position in O(1) — the
-//! RNG state at the current hour's start plus an intra-hour offset — so
-//! replay engines can fork a warmed-up simulation and re-stream the
-//! remainder deterministically without keeping the stream alive
-//! ([`WorkloadBuilder::resume`]).
+//! A stream is `Clone`: a copy carries the RNG state and the buffered
+//! hour, so it yields exactly the events the original would yield next.
+//! Replay engines fork a warmed-up simulation this way
+//! ([`QueryStream::fork`]); a materialized [`Trace`] replays through the
+//! same interface as a [`TraceReplay`].
 
 use crate::{QueryEvent, Trace, Universe, Zipf};
 use dns_core::{Label, Name, Question, RecordType, SimTime, HOUR};
@@ -67,8 +67,8 @@ impl<T: TargetSource + ?Sized> TargetSource for Arc<T> {
 }
 
 /// [`Universe::query_targets`] grouped by owning zone, flattened into
-/// one shared allocation — cheap to clone (two `Arc` bumps), so attack
-/// sweeps can hand a copy to every resumed stream.
+/// one shared allocation — cheap to clone (two `Arc` bumps), so every
+/// fork of a stream shares one copy.
 #[derive(Debug, Clone)]
 pub struct UniverseTargets {
     names: Arc<[Name]>,
@@ -156,26 +156,6 @@ impl StreamShape {
     }
 }
 
-/// A deterministic, resumable position inside a [`TraceStream`]: the
-/// RNG state at the current hour's start, the hour, and how many events
-/// of that hour were already emitted. O(1) to capture and to resume
-/// from (resuming redraws at most one hour's offsets and skips at most
-/// one hour's events).
-#[derive(Debug, Clone)]
-pub struct TraceCursor {
-    rng: StdRng,
-    hour: u64,
-    skip: usize,
-    emitted: u64,
-}
-
-impl TraceCursor {
-    /// Queries emitted before this position.
-    pub fn emitted(&self) -> u64 {
-        self.emitted
-    }
-}
-
 /// An iterator of [`QueryEvent`]s generated on demand — see the module
 /// docs. Built by [`WorkloadBuilder::stream`](crate::WorkloadBuilder);
 /// the same builder's `generate` collects one of these, so streamed and
@@ -190,9 +170,6 @@ pub struct TraceStream<S: TargetSource> {
     name_zipfs: Vec<Zipf>,
     counts: Vec<u64>,
     rng: StdRng,
-    /// RNG state captured just before the buffered hour's draws — the
-    /// cursor anchor.
-    hour_rng: StdRng,
     /// Hour whose offsets are buffered.
     cur_hour: u64,
     /// Next hour index to draw.
@@ -225,7 +202,6 @@ impl<S: TargetSource> TraceStream<S> {
             .unwrap_or(1);
         let name_zipfs: Vec<Zipf> = (1..=max_group).map(|n| Zipf::new(n, 0.8)).collect();
         let counts = shape.hour_counts();
-        let hour_rng = rng.clone();
         TraceStream {
             shape,
             source,
@@ -234,7 +210,6 @@ impl<S: TargetSource> TraceStream<S> {
             name_zipfs,
             counts,
             rng,
-            hour_rng,
             cur_hour: 0,
             next_hour: 0,
             offsets: Vec::new(),
@@ -263,43 +238,12 @@ impl<S: TargetSource> TraceStream<S> {
         self.shape.total_queries
     }
 
-    /// Captures the current position (O(1)); feed it to
-    /// [`WorkloadBuilder::resume`](crate::WorkloadBuilder::resume) to
-    /// continue from here in a fresh stream.
-    pub fn cursor(&self) -> TraceCursor {
-        TraceCursor {
-            rng: self.hour_rng.clone(),
-            hour: self.cur_hour,
-            skip: self.idx,
-            emitted: self.emitted,
-        }
-    }
-
-    /// Repositions the stream at `cursor` (captured from a stream with
-    /// the same shape, source and seed): reinstalls the hour-start RNG
-    /// state, redraws that hour's offsets and skips the already-emitted
-    /// prefix — consuming exactly the RNG draws the original did.
-    pub(crate) fn seek(&mut self, cursor: &TraceCursor) {
-        self.rng = cursor.rng.clone();
-        self.hour_rng = cursor.rng.clone();
-        self.cur_hour = cursor.hour;
-        self.next_hour = cursor.hour as usize;
-        self.offsets.clear();
-        self.idx = 0;
-        self.emitted = cursor.emitted;
-        for _ in 0..cursor.skip {
-            self.next_event();
-        }
-        self.emitted = cursor.emitted;
-    }
-
     /// The next query event, or `None` when the trace is exhausted.
     pub fn next_event(&mut self) -> Option<QueryEvent> {
         while self.idx >= self.offsets.len() {
             if self.next_hour >= self.counts.len() {
                 return None;
             }
-            self.hour_rng = self.rng.clone();
             self.cur_hour = self.next_hour as u64;
             let count = self.counts[self.next_hour];
             self.offsets.clear();
@@ -376,12 +320,14 @@ impl<S: TargetSource> Iterator for TraceStream<S> {
 }
 
 /// Object-safe streaming interface for replay engines (`dns-sim` boxes
-/// streams behind this to stay non-generic over the target source).
+/// streams behind this to stay non-generic over the source): a generated
+/// [`TraceStream`] or a materialized trace's [`TraceReplay`].
 pub trait QueryStream: Send {
     /// The next query event, or `None` when exhausted.
     fn next_event(&mut self) -> Option<QueryEvent>;
-    /// A resumable cursor at the current position.
-    fn cursor(&self) -> TraceCursor;
+    /// An independent copy at the current position: it yields exactly
+    /// the events this stream would yield from here on.
+    fn fork(&self) -> Box<dyn QueryStream>;
     /// Days of traffic the stream spans (the replay horizon).
     fn days(&self) -> u64;
     /// Total queries the stream emits end to end.
@@ -390,12 +336,12 @@ pub trait QueryStream: Send {
     fn trace_name(&self) -> &str;
 }
 
-impl<S: TargetSource + Send> QueryStream for TraceStream<S> {
+impl<S: TargetSource + Clone + Send + 'static> QueryStream for TraceStream<S> {
     fn next_event(&mut self) -> Option<QueryEvent> {
         TraceStream::next_event(self)
     }
-    fn cursor(&self) -> TraceCursor {
-        TraceStream::cursor(self)
+    fn fork(&self) -> Box<dyn QueryStream> {
+        Box::new(self.clone())
     }
     fn days(&self) -> u64 {
         TraceStream::days(self)
@@ -405,6 +351,46 @@ impl<S: TargetSource + Send> QueryStream for TraceStream<S> {
     }
     fn trace_name(&self) -> &str {
         TraceStream::trace_name(self)
+    }
+}
+
+/// A materialized [`Trace`] replayed as a [`QueryStream`]: the shared
+/// trace plus the index of the next query. Forks share the trace and
+/// copy the index.
+#[derive(Debug, Clone)]
+pub struct TraceReplay {
+    trace: Arc<Trace>,
+    pos: usize,
+}
+
+impl TraceReplay {
+    /// Replays `trace` from its first query (owned traces and
+    /// `Arc<Trace>` both work; the queries are never copied).
+    pub fn new(trace: impl Into<Arc<Trace>>) -> Self {
+        TraceReplay {
+            trace: trace.into(),
+            pos: 0,
+        }
+    }
+}
+
+impl QueryStream for TraceReplay {
+    fn next_event(&mut self) -> Option<QueryEvent> {
+        let q = self.trace.queries.get(self.pos)?.clone();
+        self.pos += 1;
+        Some(q)
+    }
+    fn fork(&self) -> Box<dyn QueryStream> {
+        Box::new(self.clone())
+    }
+    fn days(&self) -> u64 {
+        self.trace.days
+    }
+    fn total_queries(&self) -> u64 {
+        self.trace.queries.len() as u64
+    }
+    fn trace_name(&self) -> &str {
+        &self.trace.name
     }
 }
 
@@ -437,40 +423,51 @@ mod tests {
         assert_eq!(via_universe, via_interned);
     }
 
-    #[test]
-    fn cursor_resume_continues_byte_identically() {
-        let u = universe();
-        let targets = UniverseTargets::new(&u);
-        let wb = WorkloadBuilder::new("T", 2, 20, 8_000);
-        let mut full = wb.stream(targets.clone(), 7);
-        let mut prefix: Vec<QueryEvent> = Vec::new();
-        for _ in 0..3_123 {
-            prefix.push(full.next_event().expect("events remain"));
+    /// Drains `stream`, forking it before every event and continuing
+    /// from the fork: the forks together must replay the original
+    /// sequence, so each one continues exactly at its cut.
+    fn drain_forking_at_every_cut(mut stream: Box<dyn QueryStream>) -> Vec<QueryEvent> {
+        let mut out = Vec::new();
+        loop {
+            stream = stream.fork();
+            match stream.next_event() {
+                Some(q) => out.push(q),
+                None => return out,
+            }
         }
-        let cursor = full.cursor();
-        assert_eq!(cursor.emitted(), 3_123);
-        let rest_live: Vec<QueryEvent> = full.collect();
-        let resumed = wb.resume(targets, 7, &cursor);
-        assert_eq!(resumed.emitted(), 3_123);
-        let rest_resumed: Vec<QueryEvent> = resumed.collect();
-        assert_eq!(rest_live, rest_resumed);
-        assert_eq!(prefix.len() + rest_live.len(), 8_000);
+    }
+
+    fn drain(mut stream: Box<dyn QueryStream>) -> Vec<QueryEvent> {
+        std::iter::from_fn(|| stream.next_event()).collect()
     }
 
     #[test]
-    fn cursor_at_start_and_end_are_consistent() {
+    fn fork_continues_byte_identically() {
         let u = universe();
         let targets = UniverseTargets::new(&u);
-        let wb = WorkloadBuilder::new("T", 1, 5, 1_000);
-        let fresh = wb.stream(targets.clone(), 3);
-        let all: Vec<QueryEvent> = wb.resume(targets.clone(), 3, &fresh.cursor()).collect();
-        assert_eq!(all.len(), 1_000);
-        let mut drained = wb.stream(targets.clone(), 3);
-        while drained.next_event().is_some() {}
-        let end = drained.cursor();
-        assert_eq!(end.emitted(), 1_000);
-        let mut after = wb.resume(targets, 3, &end);
-        assert!(after.next_event().is_none());
+        let wb = WorkloadBuilder::new("T", 2, 20, 8_000);
+        let full: Vec<QueryEvent> = wb.stream(targets.clone(), 7).collect();
+        let sources: [Box<dyn QueryStream>; 2] = [
+            Box::new(wb.stream(targets.clone(), 7)),
+            Box::new(TraceReplay::new(wb.generate(&u, 7))),
+        ];
+        for mut original in sources {
+            for _ in 0..3_123 {
+                original.next_event().expect("events remain");
+            }
+            // The fork drains first: a fork sharing state with the
+            // original would shift what the original yields next.
+            let fork = original.fork();
+            assert_eq!(drain(fork), full[3_123..]);
+            assert_eq!(drain(original), full[3_123..]);
+        }
+
+        let small = WorkloadBuilder::new("T", 1, 5, 1_000);
+        let full: Vec<QueryEvent> = small.stream(targets.clone(), 3).collect();
+        let stream = Box::new(small.stream(targets, 3));
+        assert_eq!(drain_forking_at_every_cut(stream), full);
+        let replay = Box::new(TraceReplay::new(small.generate(&u, 3)));
+        assert_eq!(drain_forking_at_every_cut(replay), full);
     }
 
     #[test]

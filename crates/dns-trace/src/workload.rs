@@ -1,7 +1,7 @@
 //! Query workload synthesis over a generated universe.
 
 use crate::stream::StreamShape;
-use crate::{TargetSource, Trace, TraceCursor, TraceStream, Universe, UniverseTargets};
+use crate::{TargetSource, Trace, TraceStream, Universe, UniverseTargets};
 use std::fmt;
 
 /// Builds a [`Trace`] over a [`Universe`]: Zipf name popularity, diurnal
@@ -93,25 +93,6 @@ impl WorkloadBuilder {
     /// Panics if the source has no target groups or `clients == 0`.
     pub fn stream<S: TargetSource>(&self, source: S, seed: u64) -> TraceStream<S> {
         TraceStream::new(self.shape(), source, seed)
-    }
-
-    /// Resumes a stream at `cursor` (captured via
-    /// [`TraceStream::cursor`] from a stream with this same shape,
-    /// `source` and `seed`): the continuation is byte-identical to the
-    /// original stream's remainder.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`WorkloadBuilder::stream`].
-    pub fn resume<S: TargetSource>(
-        &self,
-        source: S,
-        seed: u64,
-        cursor: &TraceCursor,
-    ) -> TraceStream<S> {
-        let mut stream = self.stream(source, seed);
-        stream.seek(cursor);
-        stream
     }
 
     fn shape(&self) -> StreamShape {

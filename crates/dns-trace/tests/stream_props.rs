@@ -1,9 +1,12 @@
 //! Property tests pinning the streaming replay contract: a streamed
-//! trace, a stream resumed from a mid-trace cursor, and the materialized
-//! generator must produce byte-identical query sequences for the same
-//! seed — across arbitrary workload shapes and cut points.
+//! trace, a fork of a stream or of a materialized trace's replay taken
+//! mid-trace, and the materialized generator must produce byte-identical
+//! query sequences for the same seed — across arbitrary workload shapes
+//! and cut points.
 
-use dns_trace::{QueryEvent, Universe, UniverseSpec, UniverseTargets, WorkloadBuilder};
+use dns_trace::{
+    QueryEvent, QueryStream, TraceReplay, Universe, UniverseSpec, UniverseTargets, WorkloadBuilder,
+};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -54,11 +57,13 @@ proptest! {
         prop_assert_eq!(&materialized.queries, &streamed);
     }
 
-    /// A cursor captured after `cut` events resumes the remainder
-    /// byte-identically, wherever the cut lands (hour boundaries, empty
-    /// hours, start, end).
+    /// A fork taken after `cut` events continues byte-identically and
+    /// leaves the original undisturbed, wherever the cut lands (hour
+    /// boundaries, empty hours, start, end); forking before every event
+    /// and continuing from each fork replays the whole sequence. Holds
+    /// for a generated stream and for a materialized trace's replay.
     #[test]
-    fn cursor_resume_is_byte_identical(
+    fn fork_is_byte_identical(
         seed in any::<u64>(),
         days in 1u64..=3,
         clients in 1u32..=40,
@@ -69,17 +74,36 @@ proptest! {
         let wb = workload(days, clients, total, 1.05, 0.5);
         let targets = UniverseTargets::new(u);
         let full: Vec<QueryEvent> = wb.stream(targets.clone(), seed).collect();
-
         let cut = full.len() * cut_pct as usize / 100;
-        let mut stream = wb.stream(targets.clone(), seed);
-        for _ in 0..cut {
-            stream.next();
-        }
-        let cursor = stream.cursor();
-        prop_assert_eq!(cursor.emitted(), cut as u64);
+        let trace = std::sync::Arc::new(wb.generate(u, seed));
+        let sources = || -> [Box<dyn QueryStream>; 2] {
+            [
+                Box::new(wb.stream(targets.clone(), seed)),
+                Box::new(TraceReplay::new(std::sync::Arc::clone(&trace))),
+            ]
+        };
 
-        let resumed: Vec<QueryEvent> =
-            wb.resume(targets, seed, &cursor).collect();
-        prop_assert_eq!(&full[cut..], &resumed[..]);
+        for mut original in sources() {
+            for _ in 0..cut {
+                original.next_event();
+            }
+            let mut fork = original.fork();
+            let forked: Vec<QueryEvent> = std::iter::from_fn(|| fork.next_event()).collect();
+            let rest: Vec<QueryEvent> = std::iter::from_fn(|| original.next_event()).collect();
+            prop_assert_eq!(&full[cut..], &forked[..]);
+            prop_assert_eq!(&full[cut..], &rest[..]);
+        }
+
+        for mut stream in sources() {
+            let mut chained = Vec::with_capacity(full.len());
+            loop {
+                stream = stream.fork();
+                match stream.next_event() {
+                    Some(q) => chained.push(q),
+                    None => break,
+                }
+            }
+            prop_assert_eq!(&full, &chained);
+        }
     }
 }

@@ -196,6 +196,7 @@ fn latency_transcript(outcome: &SweepOutcome) -> String {
 /// surface here.
 #[test]
 fn one_shard_coalescing_replay_matches_uncoalesced() {
+    use dns_resilience::trace::TraceReplay;
     use std::sync::Arc;
 
     let universe = UniverseSpec::small().build(7);
@@ -206,7 +207,8 @@ fn one_shard_coalescing_replay_matches_uncoalesced() {
         let mut config = scheme.sim_config();
         config.resolver = config.resolver.to_builder().coalesce(coalesce).build();
         assert_eq!(config.resolver.shards, 1);
-        let mut sim = Simulation::shared(Arc::clone(&farm), &universe, Arc::clone(&trace), config);
+        let replay = Box::new(TraceReplay::new(Arc::clone(&trace)));
+        let mut sim = Simulation::shared_streaming(Arc::clone(&farm), &universe, replay, config);
         sim.run_to_end();
         // Every resolver counter plus the modelled latency histogram, via
         // `{:?}` (shortest-roundtrip, so equality implies bit-equality).
