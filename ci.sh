@@ -3,8 +3,8 @@
 # with warnings denied, the full test suite, then twelve smoke steps: the
 # tracked BENCH_scale.json / BENCH_stale.json gates; reduced runs of the
 # bench_scale, fig4, adversarial and stale binaries; both netd playground
-# tours; the obs, adversarial, wire fast-lane and serve-stale integration
-# suites; and perfbench's self-tests.
+# tours; the obs, adversarial, daemon-core, wire fast-lane and
+# serve-stale integration suites; and perfbench's self-tests.
 #
 #   ./ci.sh            # everything (a few minutes)
 #   ./ci.sh smoke      # the twelve smoke steps only
@@ -140,11 +140,16 @@ smoke() {
         || { echo "run_manifest.csv missing defense columns" >&2; exit 1; }
     rm -rf "$adv_out"
 
-    echo "== smoke: wire fast lane (0x20 echo, EDNS0, batched loopback) =="
-    # The fast-lane integration suite: casing echo + wire-cache hits over
-    # real UDP, OPT-bearing queries answered with the OPT stripped, and
-    # the batched worker loop driven through LoopbackHub under fault
-    # injection (blackout answered from compiled bytes).
+    echo "== smoke: daemon core and wire fast lane =="
+    # The daemon's serving core stepped single-threaded in virtual time:
+    # seeded bursts of valid, mutated, random, CHAOS and response
+    # datagrams over a simulated internet blacked out mid-run, one reply
+    # per decodable query and byte-identical replays per seed. Then the
+    # fast-lane suite: casing echo + wire-cache hits over real UDP,
+    # OPT-bearing queries answered with the OPT stripped, and a burst
+    # served by a stepped core under fault injection (blackout answered
+    # from compiled bytes).
+    cargo test --release -q --offline --test daemon_core
     cargo test --release -q --offline -p dns-netd --test wire_fast_lane
 
     echo "== smoke: serve-stale head-to-head on a tiny trace =="
@@ -181,7 +186,8 @@ smoke() {
     # Property laws (window boundary, TTL clamp, stale-off step-identity),
     # the pinned serve-stale trace transcript, and the live suite: wire
     # fast lane vs stale slow path byte-equivalence plus the loopback
-    # water-torture flood with CHAOS/Prometheus reconciliation.
+    # water-torture flood with CHAOS/Prometheus reconciliation, both on a
+    # stepped daemon core.
     cargo test --release -q --offline -p dns-resolver --test stale_props
     cargo test --release -q --offline --test stale_golden
     cargo test --release -q --offline -p dns-netd --test stale_live

@@ -14,7 +14,8 @@ use std::time::Duration;
 ///
 /// One OS thread receives datagrams, hands them to
 /// [`AuthServer::handle_query`] and sends the responses back. Malformed
-/// datagrams are dropped silently (like real servers under junk traffic).
+/// datagrams and responses (QR set) are dropped silently, like real
+/// servers under junk traffic.
 #[derive(Debug)]
 pub struct Authd {
     addr: SocketAddr,
@@ -54,8 +55,12 @@ impl Authd {
                         }
                         Err(_) => break,
                     };
-                    let Ok(query) = wire::decode(&buf[..len]) else {
-                        continue; // junk datagram
+                    // Junk is dropped, and so is a response (QR set):
+                    // answering responses lets two servers bounce one
+                    // spoofed datagram between them forever.
+                    let query = match wire::decode(&buf[..len]) {
+                        Ok(query) if !query.header.response => query,
+                        _ => continue,
                     };
                     let response = server.handle_query(&query);
                     // Count before sending so observers that received the
@@ -169,6 +174,30 @@ mod tests {
         )
         .unwrap();
         assert_eq!(resp.kind(), ResponseKind::Answer);
+        authd.stop();
+    }
+
+    #[test]
+    fn responses_are_never_answered() {
+        let authd = Authd::spawn(demo_server(), "127.0.0.1:0").unwrap();
+        let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
+        sock.set_read_timeout(Some(Duration::from_millis(200)))
+            .unwrap();
+        let question = dns_core::Question::new("www.example.com".parse().unwrap(), RecordType::A);
+        let mut msg = dns_core::Message::query(7, question);
+        msg.header.response = true;
+        sock.send_to(&wire::encode(&msg).unwrap(), authd.addr())
+            .unwrap();
+        let mut buf = [0u8; wire::MAX_MESSAGE_LEN];
+        assert!(sock.recv_from(&mut buf).is_err(), "no reply");
+        // The same datagram as a query is answered.
+        msg.header.response = false;
+        sock.send_to(&wire::encode(&msg).unwrap(), authd.addr())
+            .unwrap();
+        let (len, _) = sock.recv_from(&mut buf).unwrap();
+        let reply = wire::decode(&buf[..len]).unwrap();
+        assert_eq!((reply.header.id, reply.kind()), (7, ResponseKind::Answer));
+        assert_eq!(authd.served(), 1);
         authd.stop();
     }
 

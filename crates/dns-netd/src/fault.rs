@@ -1,10 +1,10 @@
 //! Deterministic fault injection for live upstreams: the simulator's
-//! attack model (packet loss, added delay, per-server blackout windows)
-//! replayed against real sockets.
+//! attack model (packet loss, per-server blackout windows) replayed
+//! against real sockets.
 //!
 //! [`FaultInjector`] wraps any [`Upstream`] and decides, *before* the
-//! wrapped transport is touched, whether each query is dropped (loss or
-//! blackout) or delayed. Drops return `None` immediately — the retry
+//! wrapped transport is touched, whether each query is dropped (loss,
+//! blackout or a scoped rule). Drops return `None` immediately — the retry
 //! policy provides the pacing — so a fixed seed yields the exact same
 //! drop sequence and therefore the same retry counts, independent of
 //! wall-clock timing.
@@ -34,8 +34,6 @@ pub struct FaultStats {
     pub dropped_by_blackout: u64,
     /// Queries dropped by a zone/qtype-scoped rule.
     pub dropped_by_scope: u64,
-    /// Queries forwarded after an injected delay.
-    pub delayed: u64,
 }
 
 impl FaultStats {
@@ -49,12 +47,8 @@ impl fmt::Display for FaultStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "faults: {} passed, {} lost, {} blacked out, {} scoped, {} delayed",
-            self.passed,
-            self.dropped_by_loss,
-            self.dropped_by_blackout,
-            self.dropped_by_scope,
-            self.delayed
+            "faults: {} passed, {} lost, {} blacked out, {} scoped",
+            self.passed, self.dropped_by_loss, self.dropped_by_blackout, self.dropped_by_scope
         )
     }
 }
@@ -65,8 +59,6 @@ impl fmt::Display for FaultStats {
 struct Shared {
     /// Loss probability in `[0, 1]`, stored as `f64::to_bits`.
     loss_bits: AtomicU64,
-    /// Added per-query delay, in milliseconds.
-    delay_ms: AtomicU64,
     /// Per-server blackout windows (absolute instants, half-open).
     blackouts: Mutex<HashMap<Ipv4Addr, Vec<(Instant, Instant)>>>,
     /// Zone/qtype-scoped drop rules (the adversarial-scenario scoping:
@@ -77,7 +69,6 @@ struct Shared {
     lost: AtomicU64,
     blacked: AtomicU64,
     scoped_dropped: AtomicU64,
-    delayed: AtomicU64,
 }
 
 /// One scoped drop rule; see [`FaultHandle::drop_zone`].
@@ -130,14 +121,12 @@ impl<U> FaultInjector<U> {
     pub fn new(inner: U, seed: u64) -> (FaultInjector<U>, FaultHandle) {
         let shared = Arc::new(Shared {
             loss_bits: AtomicU64::new(0.0_f64.to_bits()),
-            delay_ms: AtomicU64::new(0),
             blackouts: Mutex::new(HashMap::new()),
             scoped: Mutex::new(Vec::new()),
             passed: AtomicU64::new(0),
             lost: AtomicU64::new(0),
             blacked: AtomicU64::new(0),
             scoped_dropped: AtomicU64::new(0),
-            delayed: AtomicU64::new(0),
         });
         let handle = FaultHandle {
             shared: Arc::clone(&shared),
@@ -180,22 +169,10 @@ impl FaultHandle {
             .store(rate.to_bits(), Ordering::Relaxed);
     }
 
-    /// Sets the delay added before every forwarded query.
-    pub fn set_delay(&self, delay: Duration) {
-        self.shared
-            .delay_ms
-            .store(delay.as_millis() as u64, Ordering::Relaxed);
-    }
-
     /// Blacks out `servers` starting now for `duration` (the live twin of
     /// the simulator's `Blackout` attack windows in `dns-sim`).
     pub fn blackout(&self, servers: &[Ipv4Addr], duration: Duration) {
-        self.blackout_window(servers, Duration::ZERO, duration);
-    }
-
-    /// Blacks out `servers` for `duration`, starting `start_in` from now.
-    pub fn blackout_window(&self, servers: &[Ipv4Addr], start_in: Duration, duration: Duration) {
-        let start = Instant::now() + start_in;
+        let start = Instant::now();
         let end = start + duration;
         let mut blackouts = self.shared.blackouts.lock().unwrap();
         for &server in servers {
@@ -224,11 +201,10 @@ impl FaultHandle {
         });
     }
 
-    /// Clears every configured fault (loss, delay, blackouts, scoped
-    /// drops). Counters are kept.
+    /// Clears every configured fault (loss, blackouts, scoped drops).
+    /// Counters are kept.
     pub fn clear(&self) {
         self.set_loss(0.0);
-        self.set_delay(Duration::ZERO);
         self.shared.blackouts.lock().unwrap().clear();
         self.shared.scoped.lock().unwrap().clear();
     }
@@ -240,7 +216,6 @@ impl FaultHandle {
             dropped_by_loss: self.shared.lost.load(Ordering::Relaxed),
             dropped_by_blackout: self.shared.blacked.load(Ordering::Relaxed),
             dropped_by_scope: self.shared.scoped_dropped.load(Ordering::Relaxed),
-            delayed: self.shared.delayed.load(Ordering::Relaxed),
         }
     }
 }
@@ -258,11 +233,6 @@ impl<U: Upstream> Upstream for FaultInjector<U> {
         if self.loss_coin() {
             self.shared.lost.fetch_add(1, Ordering::Relaxed);
             return None;
-        }
-        let delay_ms = self.shared.delay_ms.load(Ordering::Relaxed);
-        if delay_ms > 0 {
-            self.shared.delayed.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(Duration::from_millis(delay_ms));
         }
         self.shared.passed.fetch_add(1, Ordering::Relaxed);
         self.inner.query(server, query, now)

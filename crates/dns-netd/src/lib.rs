@@ -8,8 +8,10 @@
 //! * [`Authd`] — an authoritative name-server daemon on a UDP socket,
 //! * [`Resolved`] — a recursive caching-resolver daemon (a small worker
 //!   pool with health reporting) whose upstream is the real network
-//!   ([`UdpUpstream`]) and whose clock is wall time,
-//! * [`FaultInjector`] — deterministic packet loss, delay and per-server
+//!   ([`UdpUpstream`]); each worker thread is a thin shell that reads a
+//!   monotone clock around a [`Core`], which does the serving and can
+//!   also be stepped without threads, in virtual time,
+//! * [`FaultInjector`] — deterministic packet loss and per-server
 //!   blackout windows wrapped around any upstream: the simulator's
 //!   attack model replayed on real sockets,
 //! * [`client::query`] — a one-shot dig-like client.
@@ -61,15 +63,15 @@ mod wirecache;
 
 pub use authd::Authd;
 pub use fault::{FaultHandle, FaultInjector, FaultStats};
-pub use packetio::{
-    ChannelPacketIo, LoopbackHub, Packet, PacketBatch, PacketIo, UdpPacketIo, MAX_BATCH,
-};
-pub use resolved::{DaemonStats, Resolved, CHAOS_METRICS_NAME};
+pub use packetio::{Packet, PacketBatch, PacketIo, UdpPacketIo, MAX_BATCH};
+pub use resolved::{Core, DaemonStats, Resolved, CHAOS_METRICS_NAME};
 pub use upstream::UdpUpstream;
 pub use wirecache::{fast_query, lowercase_key, FastQuery, WireCache, DEFAULT_WIRE_CACHE_BYTES};
 
 /// The wall clock mapped into the simulator's time vocabulary: seconds
-/// since the UNIX epoch.
+/// since the UNIX epoch. It steps backwards when the system clock does,
+/// so the daemon does not read it: its workers count monotonic time
+/// from one wall-clock reading taken when the pool starts.
 pub fn wall_clock() -> dns_core::SimTime {
     let secs = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)

@@ -1,8 +1,9 @@
-//! Batched datagram I/O behind a trait: the daemon's recv/send loop is
-//! written against [`PacketIo`] (`recvmmsg`/`sendmmsg`-shaped — arrays of
-//! packets per call) so the same worker code runs over a real UDP socket
-//! ([`UdpPacketIo`]) or an in-process loopback queue ([`ChannelPacketIo`])
-//! that fault suites and benches can drive without sockets.
+//! Batched datagram I/O behind a trait: the daemon's worker threads move
+//! packets through [`PacketIo`] (`recvmmsg`/`sendmmsg`-shaped — arrays of
+//! packets per call), over a real UDP socket ([`UdpPacketIo`]) or a
+//! caller's wrapper around one. Code that wants the daemon without
+//! sockets skips the transport and steps its serving core directly
+//! ([`crate::Resolved::cores`]).
 //!
 //! Batching matters because the wire fast lane answers hot queries
 //! without message assembly: once serving a packet is cheap, the
@@ -15,8 +16,6 @@
 use dns_core::wire;
 use std::io;
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
 
 /// Largest number of datagrams moved per [`PacketIo`] call — the
 /// `mmsghdr` vector length, in kernel terms.
@@ -96,16 +95,6 @@ impl PacketBatch {
     /// Empties the batch (buffers are retained).
     pub fn clear(&mut self) {
         self.len = 0;
-    }
-
-    /// The `i`-th packet.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len()`.
-    pub fn get(&self, i: usize) -> &Packet {
-        assert!(i < self.len);
-        &self.packets[i]
     }
 
     /// Iterator over the packets in the batch.
@@ -205,15 +194,6 @@ impl UdpPacketIo {
     pub fn new(socket: UdpSocket) -> UdpPacketIo {
         UdpPacketIo { socket }
     }
-
-    /// The socket's local address.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the socket error.
-    pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.socket.local_addr()
-    }
 }
 
 impl PacketIo for UdpPacketIo {
@@ -256,100 +236,10 @@ impl PacketIo for UdpPacketIo {
     }
 }
 
-/// Shared state behind a [`LoopbackHub`]/[`ChannelPacketIo`] pair.
-#[derive(Debug, Default)]
-struct HubInner {
-    /// Datagrams injected toward the daemon (client → server).
-    inbound: Mutex<std::collections::VecDeque<(Vec<u8>, SocketAddr)>>,
-    /// Datagrams the daemon sent (server → client).
-    outbound: Mutex<Vec<(Vec<u8>, SocketAddr)>>,
-    /// Signals inbound arrivals to blocked receivers.
-    arrived: Condvar,
-}
-
-/// The test/bench side of an in-process packet transport: inject queries,
-/// collect responses. Clone of the state shared with [`ChannelPacketIo`].
-///
-/// This is the sim/loopback implementation of the batched wire path: the
-/// fault suites drive the exact worker loop the UDP daemon runs — batched
-/// receive, fast-lane/slow-path serving, batched send — without sockets.
-#[derive(Debug, Clone, Default)]
-pub struct LoopbackHub {
-    inner: Arc<HubInner>,
-}
-
-impl LoopbackHub {
-    /// A hub with empty queues.
-    pub fn new() -> LoopbackHub {
-        LoopbackHub::default()
-    }
-
-    /// A [`PacketIo`] endpoint over this hub, for a daemon worker.
-    pub fn io(&self) -> ChannelPacketIo {
-        ChannelPacketIo {
-            inner: Arc::clone(&self.inner),
-        }
-    }
-
-    /// Queues a datagram for the daemon, attributed to `peer`.
-    pub fn inject(&self, bytes: &[u8], peer: SocketAddr) {
-        self.inner
-            .inbound
-            .lock()
-            .unwrap()
-            .push_back((bytes.to_vec(), peer));
-        self.inner.arrived.notify_one();
-    }
-
-    /// Takes every response the daemon has sent so far.
-    pub fn drain_sent(&self) -> Vec<(Vec<u8>, SocketAddr)> {
-        std::mem::take(&mut self.inner.outbound.lock().unwrap())
-    }
-}
-
-/// [`PacketIo`] over in-process queues (see [`LoopbackHub`]).
-#[derive(Debug)]
-pub struct ChannelPacketIo {
-    inner: Arc<HubInner>,
-}
-
-impl PacketIo for ChannelPacketIo {
-    fn recv_batch(&mut self, batch: &mut PacketBatch) -> io::Result<usize> {
-        batch.clear();
-        let mut inbound = self.inner.inbound.lock().unwrap();
-        if inbound.is_empty() {
-            // Same poll cadence as the UDP socket's read timeout, so the
-            // worker's stop flag stays responsive.
-            let (guard, _timeout) = self
-                .inner
-                .arrived
-                .wait_timeout(inbound, Duration::from_millis(50))
-                .unwrap();
-            inbound = guard;
-        }
-        while !batch.is_full() {
-            let Some((bytes, peer)) = inbound.pop_front() else {
-                break;
-            };
-            if bytes.len() <= wire::MAX_MESSAGE_LEN {
-                batch.push_copy(&bytes, peer);
-            }
-        }
-        Ok(batch.len())
-    }
-
-    fn send_batch(&mut self, batch: &PacketBatch) -> io::Result<usize> {
-        let mut outbound = self.inner.outbound.lock().unwrap();
-        for p in batch.iter() {
-            outbound.push((p.bytes().to_vec(), p.peer()));
-        }
-        Ok(batch.len())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn peer(port: u16) -> SocketAddr {
         SocketAddr::V4(SocketAddrV4::new(Ipv4Addr::LOCALHOST, port))
@@ -424,24 +314,6 @@ mod tests {
             .unwrap();
         let mut io = UdpPacketIo::new(server);
         let mut batch = PacketBatch::new();
-        assert_eq!(io.recv_batch(&mut batch).unwrap(), 0);
-    }
-
-    #[test]
-    fn loopback_hub_roundtrip() {
-        let hub = LoopbackHub::new();
-        let mut io = hub.io();
-        hub.inject(b"q1", peer(1000));
-        hub.inject(b"q2", peer(1001));
-        let mut batch = PacketBatch::new();
-        assert_eq!(io.recv_batch(&mut batch).unwrap(), 2);
-        assert_eq!(batch.get(0).bytes(), b"q1");
-        assert_eq!(batch.get(1).peer(), peer(1001));
-        assert_eq!(io.send_batch(&batch).unwrap(), 2);
-        let sent = hub.drain_sent();
-        assert_eq!(sent.len(), 2);
-        assert_eq!(sent[0], (b"q1".to_vec(), peer(1000)));
-        // An empty hub times out into a zero tick, like the socket.
         assert_eq!(io.recv_batch(&mut batch).unwrap(), 0);
     }
 }

@@ -1,32 +1,36 @@
 //! The recursive resolver daemon: a pool of [`CachingServer`]s over one
 //! shared cache behind a UDP socket, resolving through real upstream
-//! sockets in wall-clock time.
+//! sockets.
 //!
-//! The datagram path is *batched* and has a *fast lane*: workers move
-//! packets through the [`PacketIo`] trait in batches of up to
-//! [`crate::MAX_BATCH`], and a shared [`WireCache`] of pre-serialized
-//! responses answers repeat queries by patching the cached bytes in
-//! place (ID, RD bit, question casing, decremented TTLs) — no message
-//! decode, no resolver, no allocation.
+//! Each worker is split in two. A [`Core`] does all the serving: it
+//! takes a batch of datagrams and a `now`, and writes the replies. A
+//! worker thread is a thin shell around it that moves packets through
+//! the [`PacketIo`] trait in batches of up to [`crate::MAX_BATCH`] and
+//! reads a monotone clock; a caller can also step the cores itself, in
+//! virtual time ([`Resolved::cores`]).
 //!
-//! Each worker owns its resolver and copies what the pool shows of it
+//! The datagram path has a *fast lane*: a shared [`WireCache`] of
+//! pre-serialized responses answers repeat queries by patching the
+//! cached bytes in place (ID, RD bit, question casing, decremented TTLs)
+//! — no message decode, no resolver, no allocation.
+//!
+//! Each core owns its resolver and copies what the pool shows of it
 //! (counters, latency registry, last trace) out after every resolution,
-//! so no thread ever locks a resolver another worker is driving.
+//! so no thread ever locks a resolver another core is driving.
 
 use crate::packetio::{Packet, PacketBatch, PacketIo, UdpPacketIo};
-use crate::wall_clock;
 use crate::wirecache::{self, WireCache};
 use dns_core::{wire, Message, RData, Rcode, Record, RecordClass, RecordType, SimTime, Ttl};
 use dns_obs::{HistId, QueryTrace, Registry};
 use dns_resolver::{CachingServer, Outcome, ResolverMetrics, ShardedCache, Upstream};
 use std::fmt;
 use std::io;
-use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
+use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, ToSocketAddrs, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::Mutex;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// Owner name answered with a metrics snapshot for `CHAOS TXT` queries
 /// (the `version.bind.` convention, for metrics).
@@ -127,7 +131,7 @@ fn elapsed_ns(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// The wire fast lane, shared by every worker: the pre-serialized
+/// The wire fast lane, shared by every core: the pre-serialized
 /// response cache plus its hit/miss/bypass counter trio.
 #[derive(Debug)]
 struct WireLane {
@@ -148,8 +152,8 @@ impl Default for WireLane {
     }
 }
 
-/// What one worker's resolver shows the rest of the pool, copied out by
-/// that worker after each resolution.
+/// What one core's resolver shows the rest of the pool, copied out by
+/// that core after each resolution.
 #[derive(Debug)]
 struct Panel {
     metrics: ResolverMetrics,
@@ -172,7 +176,7 @@ impl Panel {
     }
 }
 
-/// Everything a worker thread shares with its pool and the daemon handle.
+/// Everything a core shares with its pool and the daemon handle.
 #[derive(Debug)]
 struct Shared {
     stop: AtomicBool,
@@ -180,17 +184,17 @@ struct Shared {
     send_errors: AtomicU64,
     truncated: AtomicU64,
     health: Health,
-    /// One panel per worker, in worker order.
+    /// One panel per core, in core order.
     panels: Vec<Mutex<Panel>>,
     /// The pool's cache: its shard and coalescing registry joins the
     /// metric snapshot.
     cache: ShardedCache,
-    /// Set by [`Resolved::enable_trace`]; each worker turns tracing on in
+    /// Set by [`Resolved::enable_trace`]; each core turns tracing on in
     /// its resolver before its next resolution (a bare flag: it
     /// publishes no other data, so `Relaxed` suffices).
     trace_on: AtomicBool,
     /// The trace of the pool's most recent traced resolution, whichever
-    /// worker ran it.
+    /// core ran it.
     last_trace: Mutex<Option<QueryTrace>>,
     obs: Mutex<DaemonObs>,
     lane: WireLane,
@@ -210,7 +214,7 @@ impl Shared {
     }
 }
 
-/// A running recursive resolver daemon.
+/// A recursive resolver daemon: a pool of [`Core`]s over one cache.
 ///
 /// Clients send standard DNS queries; the daemon resolves them through
 /// its [`CachingServer`]s (the cache is the same code the simulator
@@ -226,24 +230,30 @@ impl Shared {
 /// evicted. The simulator runs both between queries; moving that loop
 /// into the daemon is the ROADMAP's "one maintenance loop" item.
 ///
-/// The daemon runs a small worker pool ([`Resolved::spawn_pool`]): every
-/// worker drains the shared UDP socket in batches through [`PacketIo`]
-/// (the kernel delivers each datagram to exactly one worker), owns its
-/// own upstream transport and its own resolver over the pool's shared
-/// cache, so resolutions proceed concurrently and contend only per cache
-/// shard; with [`dns_resolver::ResolverConfig::coalesce`] on, identical
-/// in-flight fetches are deduplicated across the pool. Repeat queries for
-/// hot names are answered from a shared [`WireCache`] of compiled
-/// responses without touching a resolver at all. A worker that hits a
-/// fatal socket error records it ([`Resolved::last_error`]) and drops
-/// out, flipping [`Resolved::healthy`] — the daemon degrades visibly
-/// instead of dying silently.
+/// Every core owns its upstream transport and its own resolver over the
+/// pool's shared cache, so resolutions proceed concurrently and contend
+/// only per cache shard; with [`dns_resolver::ResolverConfig::coalesce`]
+/// on, identical in-flight fetches are deduplicated across the pool.
+/// Repeat queries for hot names are answered from a shared [`WireCache`]
+/// of compiled responses without touching a resolver at all.
+///
+/// [`Resolved::spawn_pool`] runs each core in a worker thread, a thin
+/// shell that drains the shared UDP socket in batches through
+/// [`PacketIo`] (the kernel delivers each datagram to exactly one
+/// worker), reads the pool's monotone clock and hands the batch to
+/// [`Core::step`]. A worker that hits a fatal socket error records it
+/// ([`Resolved::last_error`]) and drops out, flipping
+/// [`Resolved::healthy`] — the daemon degrades visibly instead of dying
+/// silently. [`Resolved::cores`] builds the same pool with no threads.
 #[derive(Debug)]
 pub struct Resolved {
     addr: SocketAddr,
     workers: Vec<JoinHandle<()>>,
     shared: Arc<Shared>,
 }
+
+/// What [`Resolved::addr`] reports for a pool without a bound socket.
+const NO_ADDR: SocketAddr = SocketAddr::V4(SocketAddrV4::new(Ipv4Addr::LOCALHOST, 0));
 
 impl Resolved {
     /// Binds `bind` and starts resolving through `upstream` with a single
@@ -282,12 +292,6 @@ impl Resolved {
     where
         U: Upstream + Send + 'static,
     {
-        if upstreams.is_empty() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "worker pool needs at least one upstream",
-            ));
-        }
         let socket = UdpSocket::bind(bind)?;
         socket.set_read_timeout(Some(Duration::from_millis(50)))?;
         let addr = socket.local_addr()?;
@@ -299,18 +303,16 @@ impl Resolved {
             .map(|i| cs.sibling(seed.wrapping_add(i as u64)))
             .collect();
         let servers = std::iter::once(cs).chain(siblings).collect();
-        Ok(Resolved::start(servers, upstreams, ios, addr))
+        Resolved::launch(servers, upstreams, ios, addr)
     }
 
     /// Starts the pool over caller-supplied packet transports instead of
-    /// a bound UDP socket — the sim/loopback mode: drive the daemon's
-    /// *exact* batched worker loop through [`crate::LoopbackHub`] (or any
-    /// other [`PacketIo`]) without opening sockets, e.g. under a
-    /// [`crate::FaultInjector`]ed upstream. Worker `i` runs `servers[i]`
-    /// over `upstreams[i]` and `ios[i]`; the servers normally share one
-    /// cache (a server and its [`CachingServer::sibling`]s), whose
-    /// registry the metric snapshot takes from `servers[0]`.
-    /// [`Resolved::addr`] reports a placeholder.
+    /// a socket it binds itself, for callers that own the transport
+    /// (perfbench's traced run times every [`PacketIo`] call this way).
+    /// Worker `i` runs `servers[i]` over `upstreams[i]` and `ios[i]`; the
+    /// servers normally share one cache (a server and its
+    /// [`CachingServer::sibling`]s), whose registry the metric snapshot
+    /// takes from `servers[0]`. [`Resolved::addr`] reports a placeholder.
     ///
     /// # Errors
     ///
@@ -325,27 +327,28 @@ impl Resolved {
         U: Upstream + Send + 'static,
         P: PacketIo + 'static,
     {
-        if servers.is_empty() || servers.len() != upstreams.len() || servers.len() != ios.len() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "spawn_io needs one server, one upstream and one io per worker",
-            ));
-        }
-        let addr: SocketAddr = "127.0.0.1:0".parse().expect("static addr");
-        Ok(Resolved::start(servers, upstreams, ios, addr))
+        Resolved::launch(servers, upstreams, ios, NO_ADDR)
     }
 
-    /// Starts one worker per `(server, upstream, io)` triple.
-    fn start<U, P>(
+    /// Builds the pool without threads or sockets: core `i` runs
+    /// `servers[i]` over `upstreams[i]`, and the handle's counters, CHAOS
+    /// answer, Prometheus text and traces read what the cores write. The
+    /// caller serves datagrams with [`Core::step`] at a `now` of its
+    /// choosing, so the serving code runs single-threaded in virtual
+    /// time. A core sends nothing, so [`Resolved::served`] stays 0.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidInput` unless `servers` and `upstreams` are non-empty and
+    /// of one length.
+    pub fn cores<U: Upstream>(
         servers: Vec<CachingServer>,
         upstreams: Vec<U>,
-        ios: Vec<P>,
-        addr: SocketAddr,
-    ) -> Resolved
-    where
-        U: Upstream + Send + 'static,
-        P: PacketIo + 'static,
-    {
+    ) -> io::Result<(Resolved, Vec<Core<U>>)> {
+        if servers.is_empty() || servers.len() != upstreams.len() {
+            let msg = "a pool needs one server and one upstream per core";
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
+        }
         let shared = Arc::new(Shared {
             stop: AtomicBool::new(false),
             served: AtomicU64::new(0),
@@ -359,30 +362,56 @@ impl Resolved {
             obs: Mutex::new(DaemonObs::new()),
             lane: WireLane::default(),
         });
-        let workers = servers
+        let cores = servers
             .into_iter()
             .zip(upstreams)
-            .zip(ios)
             .enumerate()
-            .map(|(index, ((cs, upstream), io))| {
-                let worker = Worker {
-                    index,
-                    cs,
-                    upstream,
-                    shared: Arc::clone(&shared),
-                    key: Vec::with_capacity(dns_core::MAX_NAME_LEN),
-                };
+            .map(|(index, (cs, upstream))| Core {
+                index,
+                cs,
+                upstream,
+                shared: Arc::clone(&shared),
+                key: Vec::with_capacity(dns_core::MAX_NAME_LEN),
+            })
+            .collect();
+        let resolved = Resolved {
+            addr: NO_ADDR,
+            workers: Vec::new(),
+            shared,
+        };
+        Ok((resolved, cores))
+    }
+
+    /// Builds the pool with [`Resolved::cores`] and runs core `i` in a
+    /// worker thread over `ios[i]`, every worker reading one clock.
+    fn launch<U, P>(
+        servers: Vec<CachingServer>,
+        upstreams: Vec<U>,
+        ios: Vec<P>,
+        addr: SocketAddr,
+    ) -> io::Result<Resolved>
+    where
+        U: Upstream + Send + 'static,
+        P: PacketIo + 'static,
+    {
+        if ios.len() != servers.len() {
+            let msg = "one packet transport per server";
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
+        }
+        let (mut resolved, cores) = Resolved::cores(servers, upstreams)?;
+        let clock = Clock::start();
+        resolved.addr = addr;
+        resolved.workers = cores
+            .into_iter()
+            .zip(ios)
+            .map(|(core, io)| {
                 std::thread::Builder::new()
-                    .name(format!("resolved-{addr}-w{index}"))
-                    .spawn(move || worker.run(io))
+                    .name(format!("resolved-{addr}-w{}", core.index))
+                    .spawn(move || shell(core, io, clock))
                     .expect("spawn resolved worker")
             })
             .collect();
-        Resolved {
-            addr,
-            workers,
-            shared,
-        }
+        Ok(resolved)
     }
 
     /// The bound address.
@@ -390,12 +419,13 @@ impl Resolved {
         self.addr
     }
 
-    /// Client queries served so far.
+    /// Replies the workers have sent so far.
     pub fn served(&self) -> u64 {
         self.shared.served.load(Ordering::Relaxed)
     }
 
-    /// Number of workers the pool started with.
+    /// Number of worker threads the pool started with (0 for a pool
+    /// built by [`Resolved::cores`]).
     pub fn worker_count(&self) -> usize {
         self.workers.len()
     }
@@ -426,7 +456,7 @@ impl Resolved {
         self.shared.lane.cache.lock().unwrap().len()
     }
 
-    /// Snapshot of the resolver counters, summed over every worker's
+    /// Snapshot of the resolver counters, summed over every core's
     /// resolver.
     pub fn metrics(&self) -> ResolverMetrics {
         self.shared
@@ -445,8 +475,8 @@ impl Resolved {
         metrics_registry(&self.shared).render_prometheus()
     }
 
-    /// Turns on per-query tracing in every worker's resolver, from each
-    /// worker's next resolution on; the most recent traced resolution is
+    /// Turns on per-query tracing in every core's resolver, from each
+    /// core's next resolution on; the most recent traced resolution is
     /// readable via [`Resolved::explain_last`].
     pub fn enable_trace(&self) {
         self.shared.trace_on.store(true, Ordering::Relaxed);
@@ -493,9 +523,72 @@ impl fmt::Display for Resolved {
     }
 }
 
-/// One worker thread: its resolver, its upstream transport and a
-/// scratch buffer for fast-lane keys.
-struct Worker<U> {
+/// The workers' clock, in whole seconds: the wall clock read once when
+/// the pool starts, advanced by a monotonic [`Instant`]. Unlike
+/// [`crate::wall_clock`] it never steps back with the system clock (an
+/// NTP step), which would let the wire cache serve expired entries.
+#[derive(Debug, Clone, Copy)]
+struct Clock {
+    epoch: Duration,
+    start: Instant,
+}
+
+impl Clock {
+    fn start() -> Clock {
+        Clock {
+            epoch: SystemTime::now()
+                .duration_since(UNIX_EPOCH)
+                .unwrap_or_default(),
+            start: Instant::now(),
+        }
+    }
+
+    fn now(&self) -> SimTime {
+        SimTime::from_secs((self.epoch + self.start.elapsed()).as_secs())
+    }
+}
+
+/// One worker thread, the shell around `core`: receive a batch, read the
+/// clock, let the core serve it, send the replies; until the pool stops.
+/// A fatal transport error is recorded and retires the worker.
+fn shell<U: Upstream, P: PacketIo>(mut core: Core<U>, mut io: P, clock: Clock) {
+    let shared = Arc::clone(&core.shared);
+    let mut rx = PacketBatch::new();
+    let mut tx = PacketBatch::new();
+    while !shared.stop.load(Ordering::Relaxed) {
+        match io.recv_batch(&mut rx) {
+            Ok(0) => continue, // timeout tick: re-check the stop flag
+            Ok(_) => {}
+            Err(e) => {
+                shared.health.record("recv", &e);
+                break;
+            }
+        }
+        core.step(clock.now(), &rx, &mut tx);
+        if tx.is_empty() {
+            continue;
+        }
+        // Count `served` only for replies the transport accepted.
+        match io.send_batch(&tx) {
+            Ok(sent) => {
+                shared.served.fetch_add(sent as u64, Ordering::Relaxed);
+                shared
+                    .send_errors
+                    .fetch_add((tx.len() - sent) as u64, Ordering::Relaxed);
+            }
+            Err(e) => {
+                shared.health.record("send", &e);
+                break;
+            }
+        }
+    }
+}
+
+/// The serving half of one daemon worker: its resolver, its upstream
+/// transport, a scratch buffer for fast-lane keys and the state it
+/// shares with the pool. It owns no thread, socket or clock, so the same
+/// code serves under a worker thread or stepped in virtual time.
+pub struct Core<U> {
     index: usize,
     cs: CachingServer,
     upstream: U,
@@ -503,49 +596,20 @@ struct Worker<U> {
     key: Vec<u8>,
 }
 
-impl<U: Upstream> Worker<U> {
-    /// Drains a batch, serves every packet (fast lane first, slow path
-    /// otherwise), sends the whole batch back; until stopped.
-    fn run<P: PacketIo>(mut self, mut io: P) {
-        let mut rx = PacketBatch::new();
-        let mut tx = PacketBatch::new();
-        while !self.shared.stop.load(Ordering::Relaxed) {
-            let n = match io.recv_batch(&mut rx) {
-                Ok(0) => continue, // timeout tick: re-check the stop flag
-                Ok(n) => n,
-                Err(e) => {
-                    // Fatal receive error: surface it and retire this
-                    // worker instead of dying without a trace.
-                    self.shared.health.record("recv", &e);
-                    break;
-                }
-            };
-            tx.clear();
-            let now = wall_clock();
-            for i in 0..n {
-                self.serve_packet(now, rx.get(i), &mut tx);
-            }
-            if tx.is_empty() {
-                continue;
-            }
-            // Count `served` only for replies the transport accepted.
-            match io.send_batch(&tx) {
-                Ok(sent) => {
-                    self.shared.served.fetch_add(sent as u64, Ordering::Relaxed);
-                    self.shared
-                        .send_errors
-                        .fetch_add((tx.len() - sent) as u64, Ordering::Relaxed);
-                }
-                Err(e) => {
-                    self.shared.health.record("send", &e);
-                    break;
-                }
-            }
+impl<U: Upstream> Core<U> {
+    /// Serves the datagrams of `rx` in arrival order at time `now`: `tx`
+    /// is cleared, then gets at most one reply per datagram, addressed to
+    /// the datagram's peer. Undecodable datagrams and responses (QR set)
+    /// get none.
+    pub fn step(&mut self, now: SimTime, rx: &PacketBatch, tx: &mut PacketBatch) {
+        tx.clear();
+        for packet in rx.iter() {
+            self.serve_packet(now, packet, tx);
         }
     }
 
-    /// Serves one datagram into `tx` (or drops it: undecodable queries
-    /// and unencodable replies get no response).
+    /// Serves one datagram into `tx` (or drops it: undecodable queries,
+    /// responses and unencodable replies get no response).
     fn serve_packet(&mut self, now: SimTime, packet: &Packet, tx: &mut PacketBatch) {
         let raw = packet.bytes();
         let peer = packet.peer();
@@ -574,9 +638,12 @@ impl<U: Upstream> Worker<U> {
             }
         }
 
-        // Slow path: full decode → resolve → encode.
-        let Ok(query) = wire::decode(raw) else {
-            return;
+        // Slow path: full decode → resolve → encode. A response (QR set)
+        // is never answered: two servers that answer responses bounce a
+        // spoofed datagram between them forever.
+        let query = match wire::decode(raw) {
+            Ok(query) if !query.header.response => query,
+            _ => return,
         };
         let (response, expiry) = self.answer(&query, now);
         let shared = &self.shared;
@@ -647,7 +714,7 @@ impl<U: Upstream> Worker<U> {
         (resp, expiry)
     }
 
-    /// Copies this worker's resolver state out to the pool: counters and
+    /// Copies this core's resolver state out to the pool: counters and
     /// registry into its panel, and — when tracing — the trace of the
     /// resolution just finished into the pool's last-trace slot.
     fn publish(&self) {
@@ -822,19 +889,32 @@ mod tests {
         let err = Resolved::spawn_pool(cs(), Vec::<Dead>::new(), "127.0.0.1:0").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
 
-        let err = Resolved::spawn_io(
-            vec![cs()],
-            vec![Dead],
-            Vec::<crate::packetio::ChannelPacketIo>::new(),
-        )
-        .unwrap_err();
+        let err =
+            Resolved::spawn_io(vec![cs()], vec![Dead], Vec::<UdpPacketIo>::new()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
 
-        // One server per worker: a single server no longer stretches over
-        // a two-worker pool.
-        let hub = crate::LoopbackHub::new();
-        let err =
-            Resolved::spawn_io(vec![cs()], vec![Dead, Dead], vec![hub.io(), hub.io()]).unwrap_err();
+        // One server per core: a single server does not stretch over a
+        // two-core pool.
+        let err = Resolved::cores(vec![cs()], vec![Dead, Dead]).err().unwrap();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        let (resolved, _cores) = Resolved::cores(vec![cs()], vec![Dead]).unwrap();
+        assert_eq!((resolved.worker_count(), resolved.served()), (0, 0));
+    }
+
+    #[test]
+    fn clock_never_decreases_and_counts_from_its_anchor() {
+        let clock = Clock::start();
+        let mut last = clock.now();
+        assert!(last <= crate::wall_clock(), "anchored to the wall clock");
+        for _ in 0..10_000 {
+            assert!(clock.now() >= last);
+            last = clock.now();
+        }
+        // Only monotonic time moves it on from the anchor.
+        if let Some(start) = Instant::now().checked_sub(Duration::from_secs(5)) {
+            let epoch = Duration::from_secs(1_000);
+            let now = Clock { epoch, start }.now().as_secs();
+            assert!((1_005..1_010).contains(&now), "{now}");
+        }
     }
 }

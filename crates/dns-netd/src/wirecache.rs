@@ -17,7 +17,7 @@
 //!
 //! [`Message`]: dns_core::Message
 
-use dns_core::{wire, Name, RecordType, SimTime, MAX_LABEL_LEN, MAX_NAME_LEN};
+use dns_core::{wire, Name, Rcode, RecordType, SimTime, MAX_LABEL_LEN, MAX_NAME_LEN};
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -292,8 +292,8 @@ pub struct FastQuery<'a> {
 }
 
 /// Shallow-parses `query` just enough to decide fast-lane eligibility:
-/// a plain QUERY question (QR/TC clear, opcode 0) with exactly one
-/// question, nothing in the other sections (an EDNS0 OPT in additional
+/// a plain QUERY question (QR/TC clear, opcode 0, an RCODE the decoder
+/// knows) with exactly one question, nothing in the other sections (an EDNS0 OPT in additional
 /// routes to the slow path, which strips it), an uncompressed question
 /// name within RFC limits, and no trailing bytes. Returns the borrowed
 /// question on success. Allocation-free.
@@ -306,6 +306,9 @@ pub fn fast_query(query: &[u8]) -> Option<FastQuery<'_>> {
     if flags & 0x80 != 0 || (flags >> 3) & 0x0f != 0 || flags & 0x02 != 0 {
         return None;
     }
+    // An RCODE `wire::decode` rejects: the slow path drops the datagram,
+    // so a hit must not answer it either.
+    Rcode::from_code(query[3] & 0x0f)?;
     if query[4..6] != [0, 1] || query[6..12].iter().any(|&b| b != 0) {
         return None;
     }
@@ -585,6 +588,13 @@ mod tests {
         let mut arc = plain.clone();
         arc[11] = 1; // arcount=1 — e.g. an EDNS0 OPT follows
         assert!(fast_query(&arc).is_none());
+
+        // An RCODE nibble the decoder rejects: the slow path drops the
+        // datagram, so the fast lane must not answer it from the cache.
+        let mut rcode = plain.clone();
+        rcode[3] |= 0x08;
+        assert!(wire::decode(&rcode).is_err());
+        assert!(fast_query(&rcode).is_none());
 
         // Compression pointer in the question name.
         let mut ptr = plain.clone();

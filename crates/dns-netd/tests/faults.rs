@@ -1,11 +1,18 @@
 //! Live-path robustness tests: the retry policy recovering through
 //! injected packet loss and blackouts on real loopback sockets, the
-//! deterministic replay guarantee, and worker-pool lifecycle.
+//! deterministic replay guarantee, and the worker pool's lifecycle under
+//! junk traffic.
 
 use dns_core::{Rcode, RecordType, ResponseKind, SimTime};
-use dns_netd::{client, playground, FaultInjector, Resolved, UdpUpstream};
+use dns_netd::{client, playground, FaultInjector, Resolved, UdpUpstream, MAX_BATCH};
 use dns_resolver::{CachingServer, ResolverConfig, ResolverMetrics, RetryPolicy};
+use rand::{rngs::StdRng, RngExt, SeedableRng};
+use std::net::UdpSocket;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
+
+/// Batches of junk the worker pool takes before its valid queries.
+const JUNK_BATCHES: usize = 20;
 
 fn client_timeout() -> Duration {
     Duration::from_secs(5)
@@ -179,8 +186,24 @@ fn fault_injection_replays_deterministically_per_seed() {
     );
 }
 
+/// Set by the panic hook when a daemon worker thread panics.
+static WORKER_PANICKED: AtomicBool = AtomicBool::new(false);
+
+/// The threaded smoke test of the worker shell: three workers on one real
+/// socket take a burst of random junk, then must stay healthy, answer
+/// valid queries and shut down promptly. The serving code itself meets
+/// junk datagram by datagram in the root `daemon_core` harness.
 #[test]
 fn worker_pool_serves_and_shuts_down_without_leaking() {
+    let default_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let thread = std::thread::current();
+        if thread.name().is_some_and(|n| n.starts_with("resolved-")) {
+            WORKER_PANICKED.store(true, Ordering::SeqCst);
+        }
+        default_hook(info);
+    }));
+
     let net = playground::boot().unwrap();
     let upstreams: Vec<_> = (0..3)
         .map(|_| {
@@ -198,6 +221,28 @@ fn worker_pool_serves_and_shuts_down_without_leaking() {
     assert!(resolver.healthy());
     assert!(resolver.last_error().is_none());
 
+    // Junk first, one batch at a time so the socket's receive buffer
+    // never overflows; the fast-lane counters count every datagram once.
+    let junk = UdpSocket::bind("127.0.0.1:0").unwrap();
+    let mut rng = StdRng::seed_from_u64(0x5eed);
+    let seen = || {
+        let s = resolver.stats();
+        s.wire_hits + s.wire_misses + s.wire_bypass
+    };
+    for _ in 0..JUNK_BATCHES {
+        let want = seen() + MAX_BATCH as u64;
+        for _ in 0..MAX_BATCH {
+            let len = rng.random_range(0..=600usize);
+            let datagram: Vec<u8> = (0..len).map(|_| rng.random()).collect();
+            junk.send_to(&datagram, resolver.addr()).unwrap();
+        }
+        let deadline = Instant::now() + client_timeout();
+        while seen() < want && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(seen(), want, "every junk datagram reaches a worker");
+    }
+
     for qname in ["www.ucla.edu", "www.example.com"] {
         let resp = client::query(
             resolver.addr(),
@@ -208,14 +253,15 @@ fn worker_pool_serves_and_shuts_down_without_leaking() {
         .unwrap();
         assert_eq!(resp.kind(), ResponseKind::Answer);
     }
-    // `served` now ticks *after* the reply leaves the socket (the counter
-    // bugfix), so give the worker a moment to pass the increment.
+    // `served` ticks *after* the reply leaves the socket, so give the
+    // worker a moment to pass the increment.
     let deadline = Instant::now() + Duration::from_secs(1);
     while resolver.served() < 2 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(10));
     }
     assert!(resolver.served() >= 2);
     assert_eq!(resolver.stats().send_errors, 0);
+    assert!(resolver.healthy(), "{:?}", resolver.last_error());
 
     // stop() joins every worker; it must return promptly (the 50 ms read
     // timeout bounds how long a quiescent worker can block) and the port
@@ -235,4 +281,8 @@ fn worker_pool_serves_and_shuts_down_without_leaking() {
     );
     assert!(err.is_err(), "stopped daemon must not answer");
     net.stop();
+    assert!(
+        !WORKER_PANICKED.load(Ordering::SeqCst),
+        "a daemon worker panicked on junk input"
+    );
 }

@@ -1,43 +1,20 @@
 //! Wire fast-lane integration tests: 0x20 casing echo over real UDP,
-//! EDNS0/OPT handling, wire-cache hit behaviour, and the batched
-//! loopback (`spawn_io` + `LoopbackHub`) path driven under fault
-//! injection — the same worker loop the UDP daemon runs, no sockets.
+//! EDNS0/OPT handling, wire-cache hit behaviour, and a burst served by a
+//! stepped daemon core under fault injection — the code every worker
+//! thread runs per batch, without a socket in front of it.
 
-use dns_core::{wire, Message, Question, Rcode, RecordClass, RecordType, ResponseKind};
-use dns_netd::{playground, FaultInjector, LoopbackHub, Resolved, UdpUpstream};
-use dns_resolver::{CachingServer, ResolverConfig, RetryPolicy};
+use dns_core::{wire, Rcode, RecordType, ResponseKind, SimTime};
+use dns_netd::{playground, FaultInjector, Resolved, UdpUpstream};
+use dns_resolver::{CachingServer, ResolverConfig};
+use fixtures::{chaos_query, normalized, spelled_query, step, test_retry};
 use std::net::{SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
 
 mod common;
+mod fixtures;
 
 fn client_timeout() -> Duration {
     Duration::from_secs(5)
-}
-
-fn test_retry() -> RetryPolicy {
-    RetryPolicy {
-        attempts: 3,
-        initial_backoff_ms: 10,
-        backoff_multiplier: 2,
-        max_backoff_ms: 80,
-        jitter_pct: 50,
-        deadline_ms: 500,
-    }
-}
-
-/// Encodes a query for `spelled` and re-imposes the caller's exact
-/// mixed-case spelling on the wire bytes (`Name` lowercases on
-/// construction) — what a 0x20-randomizing client emits.
-fn spelled_query(id: u16, spelled: &str, rtype: RecordType) -> Vec<u8> {
-    let q = Message::query(id, Question::new(spelled.parse().unwrap(), rtype));
-    let mut bytes = wire::encode(&q).unwrap();
-    let mut pos = 12;
-    for label in spelled.split('.') {
-        bytes[pos + 1..pos + 1 + label.len()].copy_from_slice(label.as_bytes());
-        pos += 1 + label.len();
-    }
-    bytes
 }
 
 /// Appends an empty EDNS0 OPT pseudo-record and bumps ARCOUNT.
@@ -62,21 +39,6 @@ fn raw_exchange(addr: SocketAddr, query: &[u8], timeout: Duration) -> Vec<u8> {
             return buf[..n].to_vec();
         }
     }
-}
-
-/// Canonical form for "byte-identical modulo query ID, TTL decrement and
-/// question casing": decode, deterministically re-encode (normalizes the
-/// casing patch), then zero the ID and every TTL field.
-fn normalized(bytes: &[u8]) -> Vec<u8> {
-    let msg = wire::decode(bytes).expect("response must decode");
-    let (mut out, offsets) = wire::encode_with_ttl_offsets(&msg).unwrap();
-    out[0] = 0;
-    out[1] = 0;
-    for off in offsets {
-        let off = off as usize;
-        out[off..off + 4].copy_from_slice(&[0, 0, 0, 0]);
-    }
-    out
 }
 
 fn wait_for(deadline: Duration, mut done: impl FnMut() -> bool) -> bool {
@@ -187,11 +149,15 @@ fn edns0_opt_queries_are_answered_with_opt_stripped() {
     net.stop();
 }
 
-/// The sim/loopback side of the tentpole: `spawn_io` runs the exact
-/// batched worker loop over in-process queues, so the fault suite drives
-/// batching, the fast lane and blackout behaviour without sockets.
+fn id(reply: &[u8]) -> u16 {
+    u16::from_be_bytes([reply[0], reply[1]])
+}
+
+/// The serving core stepped directly: a burst served as one batch, a
+/// burst under a root/TLD blackout, then the CHAOS snapshot — the code a
+/// worker thread runs per batch, with no socket and nothing to wait for.
 #[test]
-fn batched_loopback_path_serves_bursts_through_faults() {
+fn stepped_core_serves_bursts_through_faults() {
     let net = playground::boot().unwrap();
     let udp = UdpUpstream::with_route(Duration::from_millis(500), net.route_fn()).unwrap();
     let (upstream, faults) = FaultInjector::new(udp, 29);
@@ -201,74 +167,67 @@ fn batched_loopback_path_serves_bursts_through_faults() {
         .seed(7)
         .build();
     let cs = CachingServer::new(config, net.hints.clone());
-    let hub = LoopbackHub::new();
-    let resolver = Resolved::spawn_io(vec![cs], vec![upstream], vec![hub.io()]).unwrap();
+    let (resolver, mut cores) = Resolved::cores(vec![cs], vec![upstream]).unwrap();
+    let core = &mut cores[0];
+    let now = SimTime::from_hours(1);
     let peer = |port: u16| -> SocketAddr { ([127, 0, 0, 1], port).into() };
 
     // A burst: the same hot name three times (different IDs and casing)
-    // plus an OPT-bearing query — injected together so the worker drains
-    // them as one batch.
+    // plus an OPT-bearing query, served as one batch.
     let hot1 = spelled_query(0x0101, "www.ucla.edu", RecordType::A);
     let hot2 = spelled_query(0x0202, "WWW.UCLA.EDU", RecordType::A);
     let hot3 = spelled_query(0x0404, "wWw.ucla.EDU", RecordType::A);
     let mut opt = spelled_query(0x0303, "www.ucla.edu", RecordType::A);
     append_opt(&mut opt);
-    for (q, port) in [(&hot1, 4001), (&hot2, 4002), (&hot3, 4003), (&opt, 4004)] {
-        hub.inject(q, peer(port));
-    }
-    assert!(
-        wait_for(client_timeout(), || resolver.served() >= 4),
-        "all four burst queries must be answered: {}",
-        resolver.stats()
-    );
-    let mut responses = hub.drain_sent();
-    responses.sort_by_key(|(bytes, _)| u16::from_be_bytes([bytes[0], bytes[1]]));
-    assert_eq!(responses.len(), 4);
-    let ports: Vec<u16> = responses.iter().map(|(_, p)| p.port()).collect();
+    let burst = [
+        (hot1.as_slice(), peer(4001)),
+        (&hot2, peer(4002)),
+        (&hot3, peer(4003)),
+        (&opt, peer(4004)),
+    ];
+    let responses = step(core, now, &burst);
+    // One reply per query, in arrival order, each to its own peer.
+    let routed: Vec<(u16, u16)> = responses.iter().map(|(r, p)| (id(r), p.port())).collect();
     assert_eq!(
-        ports,
-        vec![4001, 4002, 4004, 4003],
-        "replies routed per peer"
+        routed,
+        vec![
+            (0x0101, 4001),
+            (0x0202, 4002),
+            (0x0404, 4003),
+            (0x0303, 4004)
+        ]
     );
-    // Batch processing is in arrival order, so the first hot query misses
-    // and compiles the entry; the rest of the batch hits it.
+    // In arrival order, the first hot query misses and compiles the
+    // entry, the next two hit it, and the OPT query bypasses the lane.
     let stats = resolver.stats();
-    assert!(stats.wire_hits >= 2, "in-batch repeats must hit: {stats}");
-    assert!(stats.wire_misses >= 1, "{stats}");
-    assert!(stats.wire_bypass >= 1, "OPT query bypasses: {stats}");
+    assert_eq!(
+        (stats.wire_misses, stats.wire_hits, stats.wire_bypass),
+        (1, 2, 1),
+        "{stats}"
+    );
     // Hot responses agree modulo ID/TTL/casing; spelling echoes per client.
     assert_eq!(normalized(&responses[0].0), normalized(&responses[1].0));
-    assert_eq!(normalized(&responses[0].0), normalized(&responses[3].0));
+    assert_eq!(normalized(&responses[0].0), normalized(&responses[2].0));
     let qname_len = "WWW.UCLA.EDU".len() + 2;
     assert_eq!(
         &responses[1].0[12..12 + qname_len],
         &hot2[12..12 + qname_len]
     );
-    let m = wire::decode(&responses[2].0).unwrap();
+    let m = wire::decode(&responses[3].0).unwrap();
     assert_eq!(m.kind(), ResponseKind::Answer, "OPT query answered");
     assert!(m.additionals.is_empty());
 
     // Blackout every root/TLD daemon: the hot name still answers (the
     // fast lane never leaves the process), an unseen name SERVFAILs.
     faults.blackout(&net.top_level_ips(), Duration::from_secs(3600));
-    hub.inject(
-        &spelled_query(0x0505, "www.ucla.edu", RecordType::A),
-        peer(4005),
-    );
-    hub.inject(
-        &spelled_query(0x0606, "www.never-seen.com", RecordType::A),
-        peer(4006),
-    );
-    assert!(
-        wait_for(client_timeout(), || resolver.served() >= 6),
-        "blackout burst must still be answered: {}",
-        resolver.stats()
-    );
-    let mut responses = hub.drain_sent();
-    responses.sort_by_key(|(bytes, _)| u16::from_be_bytes([bytes[0], bytes[1]]));
-    assert_eq!(responses.len(), 2);
+    let hot = spelled_query(0x0505, "www.ucla.edu", RecordType::A);
+    let unseen = spelled_query(0x0606, "www.never-seen.com", RecordType::A);
+    let responses = step(core, now, &[(&hot, peer(4005)), (&unseen, peer(4006))]);
+    let routed: Vec<(u16, u16)> = responses.iter().map(|(r, p)| (id(r), p.port())).collect();
+    assert_eq!(routed, vec![(0x0505, 4005), (0x0606, 4006)]);
     let hot = wire::decode(&responses[0].0).unwrap();
     assert_eq!(hot.kind(), ResponseKind::Answer, "hot name rides the cache");
+    assert_eq!(resolver.stats().wire_hits, 3);
     let unseen = wire::decode(&responses[1].0).unwrap();
     assert_eq!(
         unseen.header.rcode,
@@ -282,20 +241,7 @@ fn batched_loopback_path_serves_bursts_through_faults() {
     );
 
     // CHAOS metrics ride the slow path (bypass) and expose the trio.
-    let chaos = Message::query(
-        0x0707,
-        Question::with_class(
-            dns_netd::CHAOS_METRICS_NAME.parse().unwrap(),
-            RecordType::Txt,
-            RecordClass::Ch,
-        ),
-    );
-    hub.inject(&wire::encode(&chaos).unwrap(), peer(4007));
-    assert!(
-        wait_for(client_timeout(), || resolver.served() >= 7),
-        "CHAOS query must be answered"
-    );
-    let responses = hub.drain_sent();
+    let responses = step(core, now, &[(&chaos_query(0x0707), peer(4007))]);
     assert_eq!(responses.len(), 1);
     let snapshot =
         common::parse_snapshot(&common::txt_lines(&wire::decode(&responses[0].0).unwrap()));
@@ -309,9 +255,8 @@ fn batched_loopback_path_serves_bursts_through_faults() {
     // recorded in nanoseconds, so even a sub-microsecond hit leaves the
     // zero bucket.
     let fast = &snapshot["wall_latency_fast_ns"];
-    assert_eq!(fast["count"], resolver.stats().wire_hits);
+    assert_eq!(fast["count"], 3);
     assert!(fast["p50"] > 0, "fast-lane hits must register: {fast:?}");
 
-    resolver.stop();
     net.stop();
 }

@@ -346,8 +346,13 @@ impl Simulation {
 
     /// Replays all queries with `at < until`, firing due renewal timers,
     /// occupancy samples and purges in timestamp order, then advances the
-    /// clock to `until`.
+    /// clock to `until`. The clock never moves backwards: an `until`
+    /// before [`Simulation::now`] replays nothing, fires nothing and
+    /// leaves the clock where it is.
     pub fn run_until(&mut self, until: SimTime) {
+        if until < self.now {
+            return;
+        }
         while let Some(event) = self.feed.pop_before(until) {
             let at = event.at;
             self.advance_background(at);
@@ -473,6 +478,22 @@ mod tests {
         assert!(mid > 0);
         sim.run_to_end();
         assert!(sim.processed() > mid);
+    }
+
+    #[test]
+    fn run_until_never_moves_the_clock_backwards() {
+        let u = universe();
+        let config = SimConfig::new(ResolverConfig::vanilla());
+        let mut sim = Simulation::new(&u, small_trace(&u), config);
+        sim.run_until(SimTime::from_days(10));
+        let (processed, metrics) = (sim.processed(), sim.metrics());
+        // The 7-day trace is spent: both calls lie in the past, so they
+        // replay nothing and leave the clock alone.
+        sim.run_to_end();
+        assert_eq!(sim.now(), SimTime::from_days(10));
+        sim.run_until(SimTime::from_days(2));
+        assert_eq!(sim.now(), SimTime::from_days(10));
+        assert_eq!((sim.processed(), sim.metrics()), (processed, metrics));
     }
 
     #[test]

@@ -675,7 +675,10 @@ fn run_unit(unit: &Unit, universe: &Universe, worker: usize) -> UnitResult {
                 legit_failed_pct: legit_pct(&atk_window, adv.sent, adv.failed),
                 window: atk_window,
             });
-            let queries = warm_processed + base_window.queries_in + atk_window.queries_in;
+            // Trace queries only: the attacked window's `queries_in` also
+            // counts the flood.
+            let queries =
+                warm_processed + base_window.queries_in + atk_window.queries_in - adv.sent;
             let events =
                 event_count(&warm_metrics) + event_count(&base_window) + event_count(&atk_window);
             (2, queries, events, peak)
@@ -859,6 +862,24 @@ mod tests {
                 .unwrap_or_else(|| panic!("manifest lacks a {} column", f.field));
             assert_eq!(row[col], f.value.to_string(), "{}", f.field);
         }
+    }
+
+    #[test]
+    fn manifest_queries_count_trace_queries_only() {
+        let (u, t) = setup();
+        let (start, window) = (SimTime::from_days(2), SimDuration::from_mins(10));
+        let flood = AdversarySpec::water_torture(4, 2, 9);
+        let spec = ExperimentSpec::new(&u)
+            .trace(t.clone())
+            .scheme(Scheme::vanilla());
+        let out = spec.adversarial(flood, start, window).run();
+        assert_eq!(out.adversarial[0].attack_queries, 1_200);
+        // The warm-up once, then the window's trace queries in each of the
+        // baseline and the attacked fork; never the flood.
+        let before = |at| t.queries.iter().filter(|q| q.at < at).count() as u64;
+        let queries = out.manifest.units[0].queries;
+        assert_eq!(queries, 2 * before(start + window) - before(start));
+        assert_eq!(queries, 594);
     }
 
     #[test]
