@@ -1,13 +1,14 @@
 #!/usr/bin/env sh
 # Repo gate: formatting and lints (the workspace and perfbench), rustdoc
-# with warnings denied, the full test suite, then twelve smoke steps: the
-# tracked BENCH_scale.json / BENCH_stale.json gates; reduced runs of the
-# bench_scale, fig4, adversarial and stale binaries; both netd playground
-# tours; the obs, adversarial, daemon-core, wire fast-lane and
-# serve-stale integration suites; and perfbench's self-tests.
+# with warnings denied, the full test suite, then thirteen smoke steps:
+# the tracked BENCH_scale.json / BENCH_stale.json gates; reduced runs of
+# the bench_scale, fig4, adversarial and stale binaries; both netd
+# playground tours; the obs, adversarial, daemon-core, wire fast-lane and
+# serve-stale integration suites; the farm golden and the renewal
+# schedule equivalence; and perfbench's self-tests.
 #
 #   ./ci.sh            # everything (a few minutes)
-#   ./ci.sh smoke      # the twelve smoke steps only
+#   ./ci.sh smoke      # the thirteen smoke steps only
 set -eu
 
 smoke() {
@@ -144,11 +145,12 @@ smoke() {
     # The daemon's serving core stepped single-threaded in virtual time:
     # seeded bursts of valid, mutated, random, CHAOS and response
     # datagrams over a simulated internet blacked out mid-run, one reply
-    # per decodable query and byte-identical replays per seed. Then the
-    # fast-lane suite: casing echo + wire-cache hits over real UDP,
-    # OPT-bearing queries answered with the OPT stripped, and a burst
-    # served by a stepped core under fault injection (blackout answered
-    # from compiled bytes).
+    # per datagram framed as a query (NOTIMP/FORMERR for those the decoder
+    # rejects) and byte-identical replays per seed. Then the fast-lane
+    # suite: casing echo + wire-cache hits over real UDP, OPT-bearing
+    # queries answered with the OPT stripped, NOTIMP for an HTTPS query,
+    # and a burst served by a stepped core under fault injection
+    # (blackout answered from compiled bytes).
     cargo test --release -q --offline --test daemon_core
     cargo test --release -q --offline -p dns-netd --test wire_fast_lane
 
@@ -191,6 +193,15 @@ smoke() {
     cargo test --release -q --offline -p dns-resolver --test stale_props
     cargo test --release -q --offline --test stale_golden
     cargo test --release -q --offline -p dns-netd --test stale_live
+
+    echo "== smoke: farm golden and renewal schedule equivalence =="
+    # The paper replay's exchange, both ends: every answer of the
+    # simulated authoritative farm pinned byte for byte (small and signed
+    # universes, with and without the long-TTL override), and the
+    # one-pair renewal schedule's pops and peeks checked against an eager
+    # reference schedule over random install/use/renew/purge sequences.
+    cargo test --release -q --offline --test farm_golden
+    cargo test --release -q --offline -p dns-resolver --test renewal_schedule
 
     echo "== smoke: repository benchmark self-tests =="
     # perfbench is a package of its own that builds against the crates'

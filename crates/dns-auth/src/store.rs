@@ -1,7 +1,6 @@
 //! Zone storage and longest-suffix zone selection.
 
 use dns_core::{Name, Zone};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -17,7 +16,12 @@ use std::sync::Arc;
 /// that rule.
 #[derive(Debug, Clone, Default)]
 pub struct ZoneStore {
-    zones: BTreeMap<Name, Arc<Zone>>,
+    /// The zones sorted by apex in [`Name`] order, so a lookup
+    /// binary-searches with the borrowed bytes of each ancestor instead
+    /// of a `Name` per step.
+    zones: Vec<Arc<Zone>>,
+    /// The most labels of any apex: deeper ancestors cannot be one.
+    max_labels: usize,
 }
 
 impl ZoneStore {
@@ -30,25 +34,44 @@ impl ZoneStore {
     /// apex.
     pub fn insert(&mut self, zone: impl Into<Arc<Zone>>) -> Option<Arc<Zone>> {
         let zone = zone.into();
-        self.zones.insert(zone.apex().clone(), zone)
+        self.max_labels = self.max_labels.max(zone.apex().label_count());
+        match self.position(zone.apex().as_suffix_bytes()) {
+            Ok(at) => Some(std::mem::replace(&mut self.zones[at], zone)),
+            Err(at) => {
+                self.zones.insert(at, zone);
+                None
+            }
+        }
     }
 
     /// Looks up a zone by exact apex.
     pub fn get(&self, apex: &Name) -> Option<&Zone> {
-        self.zones.get(apex).map(Arc::as_ref)
+        let at = self.position(apex.as_suffix_bytes()).ok()?;
+        Some(&self.zones[at])
     }
 
     /// Mutable access to a zone by exact apex (copy-on-write when the zone
     /// is shared with other stores).
     pub fn get_mut(&mut self, apex: &Name) -> Option<&mut Zone> {
-        self.zones.get_mut(apex).map(Arc::make_mut)
+        let at = self.position(apex.as_suffix_bytes()).ok()?;
+        Some(Arc::make_mut(&mut self.zones[at]))
     }
 
     /// The deepest zone whose apex is `name` or an ancestor of `name`.
     pub fn find(&self, name: &Name) -> Option<&Zone> {
-        name.ancestors()
-            .find_map(|a| self.zones.get(&a))
-            .map(Arc::as_ref)
+        let too_deep = name.label_count().saturating_sub(self.max_labels);
+        let at = name
+            .ancestor_bytes()
+            .skip(too_deep)
+            .find_map(|apex| self.position(apex).ok())?;
+        Some(&self.zones[at])
+    }
+
+    /// Where the zone whose apex has suffix bytes `apex` sits in `zones`,
+    /// or would be inserted.
+    fn position(&self, apex: &[u8]) -> Result<usize, usize> {
+        self.zones
+            .binary_search_by(|zone| zone.apex().cmp_suffix_bytes(apex))
     }
 
     /// Number of zones.
@@ -63,7 +86,7 @@ impl ZoneStore {
 
     /// Iterates over zones in apex order.
     pub fn iter(&self) -> impl Iterator<Item = &Zone> {
-        self.zones.values().map(Arc::as_ref)
+        self.zones.iter().map(Arc::as_ref)
     }
 }
 

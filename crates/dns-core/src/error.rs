@@ -31,6 +31,10 @@ pub enum DnsError {
     UnknownRecordType(u16),
     /// An unknown class code was encountered.
     UnknownClass(u16),
+    /// A message header carried an unassigned opcode.
+    UnknownOpcode(u8),
+    /// A message header carried an unassigned response code.
+    UnknownRcode(u8),
     /// An RDATA section did not have the length implied by its record type.
     BadRdata {
         /// Record type whose RDATA failed to decode.
@@ -64,6 +68,8 @@ impl fmt::Display for DnsError {
             DnsError::BadPointer(at) => write!(f, "invalid compression pointer at offset {at}"),
             DnsError::UnknownRecordType(c) => write!(f, "unknown record type code {c}"),
             DnsError::UnknownClass(c) => write!(f, "unknown class code {c}"),
+            DnsError::UnknownOpcode(c) => write!(f, "unknown opcode {c} in message header"),
+            DnsError::UnknownRcode(c) => write!(f, "unknown rcode {c} in message header"),
             DnsError::BadRdata { rtype, detail } => {
                 write!(f, "malformed rdata for {rtype} record: {detail}")
             }
@@ -97,6 +103,18 @@ mod tests {
     fn error_is_send_sync() {
         fn assert_send_sync<T: Send + Sync + 'static>() {}
         assert_send_sync::<DnsError>();
+    }
+
+    #[test]
+    fn header_errors_name_their_field() {
+        assert_eq!(
+            DnsError::UnknownOpcode(3).to_string(),
+            "unknown opcode 3 in message header"
+        );
+        assert_eq!(
+            DnsError::UnknownRcode(8).to_string(),
+            "unknown rcode 8 in message header"
+        );
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!
 //! `Ord` deliberately remains the *label-wise* lexicographic order of the
 //! previous `Vec<Label>` representation (most specific label first,
-//! labels compared as byte slices): the renewal scheduler keys a
-//! `BTreeSet` by `(SimTime, Name)` and the experiment transcripts are
+//! labels compared as byte slices): the renewal scheduler orders its
+//! `(SimTime, Name)` pairs by it and the experiment transcripts are
 //! byte-for-byte reproducible only if that order never changes.
 
 use crate::DnsError;
@@ -376,6 +376,21 @@ impl Name {
         }
     }
 
+    /// The [`Name::as_suffix_bytes`] of this name and of every ancestor,
+    /// most specific first, ending with the root's empty slice: the
+    /// borrowed twin of [`Name::ancestors`], for probing maps whose keys
+    /// hash and compare by suffix bytes without a `Name` per step.
+    pub fn ancestor_bytes(&self) -> impl Iterator<Item = &[u8]> + '_ {
+        let mut next = Some(self.as_suffix_bytes());
+        std::iter::from_fn(move || {
+            let current = next?;
+            next = current
+                .split_first()
+                .map(|(&len, rest)| &rest[len as usize..]);
+            Some(current)
+        })
+    }
+
     /// Whether `self` equals `other` or sits below it in the tree.
     ///
     /// Every name is a subdomain of the root.
@@ -486,12 +501,38 @@ impl Hash for Name {
 
 /// Label-wise lexicographic order, most specific label first — the same
 /// total order the former `Vec<Label>` representation derived. The
-/// renewal scheduler's `BTreeSet<(SimTime, Name)>` pop order (and thus
-/// RNG consumption and every experiment transcript) depends on it, so it
+/// renewal scheduler's `(SimTime, Name)` pop order (and thus RNG
+/// consumption and every experiment transcript) depends on it, so it
 /// must never silently change to plain suffix-byte order.
 impl Ord for Name {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.labels().cmp(other.labels())
+        self.cmp_suffix_bytes(other.as_suffix_bytes())
+    }
+}
+
+impl Name {
+    /// This name's [`Ord`] position against the name whose
+    /// [`Name::as_suffix_bytes`] are `other`, for searching sorted names
+    /// with a borrowed ancestor (see [`Name::ancestor_bytes`]).
+    pub fn cmp_suffix_bytes(&self, other: &[u8]) -> Ordering {
+        label_order(self.as_suffix_bytes(), other)
+    }
+}
+
+/// [`Name`]'s order over two names' suffix bytes: label by label, most
+/// specific first, each label compared as a byte slice, and a name that
+/// runs out of labels first sorting first.
+fn label_order(mut a: &[u8], mut b: &[u8]) -> Ordering {
+    loop {
+        let (Some((&la, rest_a)), Some((&lb, rest_b))) = (a.split_first(), b.split_first()) else {
+            return a.len().cmp(&b.len());
+        };
+        let (label_a, rest_a) = rest_a.split_at(la as usize);
+        let (label_b, rest_b) = rest_b.split_at(lb as usize);
+        match label_a.cmp(label_b) {
+            Ordering::Equal => (a, b) = (rest_a, rest_b),
+            unequal => return unequal,
+        }
     }
 }
 
@@ -661,6 +702,16 @@ mod tests {
         assert_eq!(got, vec!["a.b.c.", "b.c.", "c.", "."]);
         let root_only: Vec<Name> = Name::root().ancestors().collect();
         assert_eq!(root_only, vec![Name::root()]);
+    }
+
+    #[test]
+    fn ancestor_bytes_follow_ancestors() {
+        for name in [n("www.cs.ucla.edu"), n("a"), Name::root()] {
+            let bytes: Vec<&[u8]> = name.ancestor_bytes().collect();
+            let owned: Vec<Name> = name.ancestors().collect();
+            let expect: Vec<&[u8]> = owned.iter().map(Name::as_suffix_bytes).collect();
+            assert_eq!(bytes, expect, "{name}");
+        }
     }
 
     #[test]

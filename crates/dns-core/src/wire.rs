@@ -117,6 +117,86 @@ pub fn decode(bytes: &[u8]) -> Result<Message, DnsError> {
     Ok(msg)
 }
 
+/// The reply to a datagram that [`decode`] rejects, when its header and
+/// question still allow one: QR clear, a complete 12-byte header,
+/// QDCOUNT 1, and a question whose name (spelled out or ending in a
+/// compression pointer) and 4 fixed bytes can be delimited.
+///
+/// The reply echoes the ID, the opcode and RD, sets QR (and RA when
+/// `recursion_available`), and carries the raw question bytes, so their
+/// casing is echoed, and no records. Its RCODE is NOTIMP when the first
+/// thing the decoder rejects is the opcode, the question's type or its
+/// class, and FORMERR otherwise (a bad label, an unassigned RCODE, a
+/// malformed record). Anything else gets `None`: junk is never reflected,
+/// and no reply is longer than its query.
+///
+/// ```rust
+/// # fn main() -> Result<(), dns_core::DnsError> {
+/// use dns_core::{wire, Message, Question, Rcode, RecordType};
+///
+/// // A query for type HTTPS (65), which the codec does not represent.
+/// let mut query = wire::encode(&Message::query(7, Question::new("www.ucla.edu".parse()?, RecordType::A)))?;
+/// let qtype = query.len() - 4;
+/// query[qtype..qtype + 2].copy_from_slice(&65u16.to_be_bytes());
+/// assert!(wire::decode(&query).is_err());
+///
+/// let reply = wire::reply_to_undecodable(&query, false).expect("a framed query");
+/// assert_eq!(reply[3] & 0xF, Rcode::NotImp.code());
+/// assert_eq!(reply[12..], query[12..]);
+/// # Ok(())
+/// # }
+/// ```
+pub fn reply_to_undecodable(raw: &[u8], recursion_available: bool) -> Option<Vec<u8>> {
+    const HDR: usize = 12;
+    let header = raw.get(..HDR)?;
+    let flags = u16::from_be_bytes([header[2], header[3]]);
+    if flags & 0x8000 != 0 || header[4..6] != [0, 1] {
+        return None;
+    }
+    let question = &raw[HDR..HDR + question_len(&raw[HDR..])?];
+    let mut dec = Decoder::new(&raw[..HDR + question.len()]);
+    let rcode = match dec.header().and_then(|_| dec.question()) {
+        Err(
+            DnsError::UnknownOpcode(_) | DnsError::UnknownRecordType(_) | DnsError::UnknownClass(_),
+        ) => Rcode::NotImp,
+        _ => Rcode::FormErr,
+    };
+    // QR, the query's opcode and RD, RA if offered, and the RCODE.
+    let mut reply_flags = 0x8000 | (flags & 0x7900) | u16::from(rcode.code());
+    if recursion_available {
+        reply_flags |= 0x0080;
+    }
+    let mut reply = Vec::with_capacity(HDR + question.len());
+    reply.extend_from_slice(&header[..2]);
+    reply.put_u16(reply_flags);
+    reply.extend_from_slice(&[0, 1, 0, 0, 0, 0, 0, 0]);
+    reply.extend_from_slice(question);
+    Some(reply)
+}
+
+/// The length of the question at the start of `bytes`: its name, spelled
+/// out or ending in a compression pointer, then its type and class; `None`
+/// when the bytes cannot be delimited so.
+fn question_len(bytes: &[u8]) -> Option<usize> {
+    let mut end = 0;
+    loop {
+        match *bytes.get(end)? {
+            0 => {
+                end += 1;
+                break;
+            }
+            len @ 1..=63 => end += 1 + usize::from(len),
+            0xC0..=0xFF => {
+                end += 2;
+                break;
+            }
+            _ => return None, // a reserved label type
+        }
+    }
+    end += 4;
+    (end <= bytes.len()).then_some(end)
+}
+
 /// Rewrites the first question's name in the encoded response `resp` with
 /// the exact bytes the client sent in `query`, so replies echo the
 /// client's original casing. [`Name`] lowercases labels on construction,
@@ -373,10 +453,10 @@ impl<'a> Decoder<'a> {
     fn header(&mut self) -> Result<(Header, (u16, u16, u16, u16)), DnsError> {
         let id = self.u16("header id")?;
         let flags = self.u16("header flags")?;
-        let opcode = Opcode::from_code(((flags >> 11) & 0xF) as u8)
-            .ok_or(DnsError::UnknownRecordType((flags >> 11) & 0xF))?;
-        let rcode = Rcode::from_code((flags & 0xF) as u8)
-            .ok_or(DnsError::UnknownRecordType(flags & 0xF))?;
+        let opcode_code = ((flags >> 11) & 0xF) as u8;
+        let opcode = Opcode::from_code(opcode_code).ok_or(DnsError::UnknownOpcode(opcode_code))?;
+        let rcode_code = (flags & 0xF) as u8;
+        let rcode = Rcode::from_code(rcode_code).ok_or(DnsError::UnknownRcode(rcode_code))?;
         let header = Header {
             id,
             response: flags & 0x8000 != 0,
@@ -864,5 +944,87 @@ mod tests {
         // Truncated buffers are refused rather than panicking.
         let mut rb = encode(&q).unwrap();
         assert!(!patch_question_case(&mut rb, &qb[..13]));
+    }
+
+    /// A `www.ucla.edu` A query with ID 0xc9e9 and RD set, as wire bytes.
+    fn plain_query() -> Vec<u8> {
+        let mut query = Message::query(0xc9e9, Question::new(name("www.ucla.edu"), RecordType::A));
+        query.header.recursion_desired = true;
+        encode(&query).unwrap()
+    }
+
+    #[test]
+    fn header_errors_name_their_field() {
+        // The RCODE-8 query the daemon harness met: `c9 e9 01 d8 …`.
+        let mut rcode8 = plain_query();
+        rcode8[2..4].copy_from_slice(&[0x01, 0xd8]);
+        assert_eq!(decode(&rcode8), Err(DnsError::UnknownRcode(8)));
+        let mut opcode3 = plain_query();
+        opcode3[2] |= 3 << 3;
+        assert_eq!(decode(&opcode3), Err(DnsError::UnknownOpcode(3)));
+    }
+
+    #[test]
+    fn undecodable_queries_get_notimp_or_formerr_with_the_question_echoed() {
+        let rcode_of = |reply: &[u8]| Rcode::from_code(reply[3] & 0xF).unwrap();
+        let question_at = |raw: &[u8]| raw.len() - 4;
+
+        // Type HTTPS (65): NOTIMP, the header's ID and RD echoed, RA only
+        // when offered, and the question copied byte for byte.
+        let mut https = plain_query();
+        https[2] |= 0x04; // AA on a query: dropped from the reply
+        let at = question_at(&https);
+        https[at..at + 2].copy_from_slice(&65u16.to_be_bytes());
+        https[12 + 1] = b'W'; // the client's casing
+        assert!(decode(&https).is_err());
+        let reply = reply_to_undecodable(&https, false).unwrap();
+        assert_eq!(reply[..2], https[..2]);
+        assert_eq!(reply[2], 0x81, "QR and RD, opcode QUERY, no AA");
+        assert_eq!(reply[3], Rcode::NotImp.code());
+        assert_eq!(reply[4..12], [0, 1, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(reply[12..], https[12..]);
+        let with_ra = reply_to_undecodable(&https, true).unwrap();
+        assert_eq!(with_ra[3], 0x80 | Rcode::NotImp.code());
+
+        // An unknown class or opcode is NOTIMP too; the opcode is echoed.
+        let mut class = plain_query();
+        let at = question_at(&class);
+        class[at + 2..].copy_from_slice(&4u16.to_be_bytes());
+        assert_eq!(
+            rcode_of(&reply_to_undecodable(&class, false).unwrap()),
+            Rcode::NotImp
+        );
+        let mut opcode = plain_query();
+        opcode[2] |= 3 << 3;
+        let reply = reply_to_undecodable(&opcode, false).unwrap();
+        assert_eq!((rcode_of(&reply), reply[2] & 0x78), (Rcode::NotImp, 3 << 3));
+
+        // A bad label byte or an unassigned RCODE is FORMERR.
+        let mut label = plain_query();
+        label[13] = b'!';
+        assert_eq!(
+            rcode_of(&reply_to_undecodable(&label, false).unwrap()),
+            Rcode::FormErr
+        );
+        let mut rcode8 = plain_query();
+        rcode8[3] |= 8;
+        assert_eq!(
+            rcode_of(&reply_to_undecodable(&rcode8, false).unwrap()),
+            Rcode::FormErr
+        );
+
+        // No reply: two questions, a short header, a response, a question
+        // cut short, or a reserved label type.
+        let mut two = https.clone();
+        two[5] = 2;
+        assert_eq!(reply_to_undecodable(&two, false), None);
+        assert_eq!(reply_to_undecodable(&https[..11], false), None);
+        let mut response = https.clone();
+        response[2] |= 0x80;
+        assert_eq!(reply_to_undecodable(&response, false), None);
+        assert_eq!(reply_to_undecodable(&https[..https.len() - 1], false), None);
+        let mut reserved = https.clone();
+        reserved[12] = 0x40;
+        assert_eq!(reply_to_undecodable(&reserved, false), None);
     }
 }

@@ -1,10 +1,9 @@
 //! Authoritative zone data: apex records, in-zone data and delegations.
 
 use crate::{DnsError, Name, RData, Record, RecordType, RrKey, RrKeyView, RrSet, Ttl};
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::fmt;
 use std::net::Ipv4Addr;
-use std::ops::Bound;
 
 /// A delegation point inside a zone: the child zone's NS set as stored at
 /// the *parent*, plus any glue address records.
@@ -36,6 +35,15 @@ impl Delegation {
             glue,
             ds: Vec::new(),
         }
+    }
+
+    /// Owner names of this delegation's glue that lie outside the child
+    /// zone.
+    fn stray_glue(&self) -> impl Iterator<Item = &Name> {
+        self.glue
+            .iter()
+            .map(Record::name)
+            .filter(|owner| !owner.is_subdomain_of(&self.child))
     }
 
     /// The NS RRset this delegation publishes.
@@ -75,11 +83,22 @@ pub struct Zone {
     ns_names: Vec<Name>,
     /// TTL for the apex NS set and its glue.
     infra_ttl: Ttl,
-    /// All authoritative records (including apex NS and server A records),
-    /// indexed by RRset key.
-    records: BTreeMap<RrKey, RrSet>,
-    /// Delegations to children, keyed by child apex.
-    delegations: BTreeMap<Name, Delegation>,
+    /// The zone's own infrastructure RRsets, the apex NS set and the
+    /// address sets of the servers in `ns_names`, kept side by side
+    /// because every positive answer carries them.
+    infra: Vec<RrSet>,
+    /// Every other authoritative RRset, indexed by key: a lookup hashes
+    /// the borrowed name once instead of comparing it label by label down
+    /// a tree.
+    records: HashMap<RrKey, RrSet>,
+    /// Delegations to children, sorted by child apex in [`Name`] order,
+    /// so a cut lookup binary-searches with the borrowed bytes of each
+    /// ancestor instead of a `Name` per step.
+    delegations: Vec<Delegation>,
+    /// Owner names of glue lying outside its own delegation's child zone,
+    /// sorted, one entry per such record. Glue below its child is found
+    /// through the cut lookup; generated zones have none of this kind.
+    stray_glue: Vec<Name>,
 }
 
 impl Zone {
@@ -103,63 +122,76 @@ impl Zone {
     /// this zone's servers are affected; data records keep their TTLs.
     pub fn set_infra_ttl(&mut self, ttl: Ttl) {
         self.infra_ttl = ttl;
-        let apex_ns = RrKey::new(self.apex.clone(), RecordType::Ns);
-        if let Some(set) = self.records.remove(&apex_ns) {
-            self.records.insert(apex_ns, set.with_ttl(ttl));
-        }
-        for ns in self.ns_names.clone() {
-            for rtype in [RecordType::A, RecordType::Aaaa] {
-                let key = RrKey::new(ns.clone(), rtype);
-                if let Some(set) = self.records.remove(&key) {
-                    self.records.insert(key, set.with_ttl(ttl));
-                }
-            }
+        for set in &mut self.infra {
+            *set = set.clone().with_ttl(ttl);
         }
     }
 
     /// Looks up an authoritative RRset without constructing a probe key.
     pub fn lookup(&self, name: &Name, rtype: RecordType) -> Option<&RrSet> {
-        self.records.get(&(name, rtype) as &dyn RrKeyView)
+        self.infra
+            .iter()
+            .find(|set| set.rtype() == rtype && set.name() == name)
+            .or_else(|| self.records.get(&(name, rtype) as &dyn RrKeyView))
     }
 
     /// Whether any RRset exists at `name`: authoritative data, a
     /// delegation cut or delegation glue.
     pub fn name_exists(&self, name: &Name) -> bool {
-        // `records` is ordered name-first and `A` is the smallest type, so
-        // the first key at or after `(name, A)` is at `name` iff any is.
-        let first: &dyn RrKeyView = &(name, RecordType::A);
-        self.records
-            .range::<dyn RrKeyView, _>((Bound::Included(first), Bound::Unbounded))
-            .next()
-            .is_some_and(|(k, _)| &k.name == name)
+        RecordType::ALL
+            .iter()
+            .any(|&rtype| self.lookup(name, rtype).is_some())
             || self
-                .delegations
-                .values()
+                .cuts_enclosing(name)
                 .any(|d| d.child == *name || d.glue.iter().any(|g| g.name() == name))
+            || self.stray_glue.binary_search(name).is_ok()
     }
 
     /// The deepest delegation whose child apex is `name` or an ancestor of
     /// it — i.e. the zone cut a query for `name` must be referred through.
     pub fn delegation_for(&self, name: &Name) -> Option<&Delegation> {
-        // Walk from most specific ancestor down to (but excluding) the apex.
-        name.ancestors()
-            .filter(|a| a.is_proper_subdomain_of(&self.apex))
-            .find_map(|a| self.delegations.get(&a))
+        self.cuts_enclosing(name).next()
+    }
+
+    /// The delegations whose child apex is `name` or an ancestor of it,
+    /// most specific first. Children sit strictly below the apex, so only
+    /// ancestors with more labels than the apex are probed, and a zone
+    /// without cuts probes none.
+    fn cuts_enclosing<'a, 'n>(
+        &'a self,
+        name: &'n Name,
+    ) -> impl Iterator<Item = &'a Delegation> + use<'a, 'n> {
+        let below_apex = if self.delegations.is_empty() {
+            0
+        } else {
+            name.label_count().saturating_sub(self.apex.label_count())
+        };
+        name.ancestor_bytes()
+            .take(below_apex)
+            .filter_map(|bytes| self.cut_index(bytes).ok().map(|at| &self.delegations[at]))
+    }
+
+    /// Where the delegation to the child with suffix bytes `child` sits
+    /// in `delegations`, or would be inserted.
+    fn cut_index(&self, child: &[u8]) -> Result<usize, usize> {
+        self.delegations
+            .binary_search_by(|d| d.child.cmp_suffix_bytes(child))
     }
 
     /// Delegation entry for an exact child apex.
     pub fn delegation(&self, child: &Name) -> Option<&Delegation> {
-        self.delegations.get(child)
+        let at = self.cut_index(child.as_suffix_bytes()).ok()?;
+        Some(&self.delegations[at])
     }
 
     /// All delegations, ordered by child apex.
     pub fn delegations(&self) -> impl Iterator<Item = &Delegation> {
-        self.delegations.values()
+        self.delegations.iter()
     }
 
-    /// All authoritative RRsets.
+    /// All authoritative RRsets, in no particular order.
     pub fn rrsets(&self) -> impl Iterator<Item = &RrSet> {
-        self.records.values()
+        self.infra.iter().chain(self.records.values())
     }
 
     /// Whether `name` is inside this zone's authority (at or below the apex
@@ -189,12 +221,14 @@ impl Zone {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(out, "$ORIGIN {}", self.apex);
-        for set in self.records.values() {
+        let mut sets: Vec<&RrSet> = self.rrsets().collect();
+        sets.sort_by(|a, b| a.key().cmp(b.key()));
+        for set in sets {
             for rec in set.to_records() {
                 let _ = writeln!(out, "{rec}");
             }
         }
-        for d in self.delegations.values() {
+        for d in &self.delegations {
             let _ = writeln!(out, "; delegation: {}", d.child);
             for rec in d.ns_rrset().to_records() {
                 let _ = writeln!(out, "{rec}");
@@ -209,19 +243,38 @@ impl Zone {
         out
     }
 
-    /// Adds or replaces a delegation after construction. Used by the
-    /// namespace generator when wiring up a synthetic tree.
+    /// Adds or replaces a delegation after construction.
     pub fn add_delegation(&mut self, delegation: Delegation) -> Result<(), DnsError> {
-        if !delegation.child.is_proper_subdomain_of(&self.apex) {
-            return Err(DnsError::InvalidZone(format!(
-                "delegation {} is not below apex {}",
-                delegation.child, self.apex
-            )));
+        check_below_apex(&self.apex, &delegation)?;
+        match self.cut_index(delegation.child.as_suffix_bytes()) {
+            Ok(at) => self.delegations[at] = delegation,
+            Err(at) => self.delegations.insert(at, delegation),
         }
-        self.delegations
-            .insert(delegation.child.clone(), delegation);
+        self.index_stray_glue();
         Ok(())
     }
+
+    /// Rebuilds the stray-glue index from the delegations.
+    fn index_stray_glue(&mut self) {
+        self.stray_glue = self
+            .delegations
+            .iter()
+            .flat_map(Delegation::stray_glue)
+            .cloned()
+            .collect();
+        self.stray_glue.sort();
+    }
+}
+
+/// Rejects a delegation whose child is not strictly below `apex`.
+fn check_below_apex(apex: &Name, delegation: &Delegation) -> Result<(), DnsError> {
+    if delegation.child.is_proper_subdomain_of(apex) {
+        return Ok(());
+    }
+    Err(DnsError::InvalidZone(format!(
+        "delegation {} is not below apex {}",
+        delegation.child, apex
+    )))
 }
 
 impl fmt::Display for Zone {
@@ -230,7 +283,7 @@ impl fmt::Display for Zone {
             f,
             "zone {} ({} rrsets, {} delegations, infra ttl {})",
             self.apex,
-            self.records.len(),
+            self.infra.len() + self.records.len(),
             self.delegations.len(),
             self.infra_ttl
         )
@@ -314,30 +367,17 @@ impl ZoneBuilder {
                 self.apex
             )));
         }
-        let mut records: BTreeMap<RrKey, RrSet> = BTreeMap::new();
-        let mut push = |rec: Record| {
-            let key = rec.key();
-            match records.get_mut(&key) {
-                Some(set) => {
-                    let mut all = set.to_records();
-                    all.push(rec);
-                    *set = RrSet::from_records(&all).expect("non-empty");
-                }
-                None => {
-                    records.insert(key, RrSet::from_records(&[rec]).expect("non-empty"));
-                }
-            }
-        };
+        let mut all: Vec<Record> = Vec::with_capacity(2 * self.ns.len() + 1 + self.records.len());
 
         // Apex NS set plus in-zone glue.
         for (ns_name, addr) in &self.ns {
-            push(Record::new(
+            all.push(Record::new(
                 self.apex.clone(),
                 self.infra_ttl,
                 RData::Ns(ns_name.clone()),
             ));
             if ns_name.is_subdomain_of(&self.apex) {
-                push(Record::new(
+                all.push(Record::new(
                     ns_name.clone(),
                     self.infra_ttl,
                     RData::A(*addr),
@@ -346,7 +386,7 @@ impl ZoneBuilder {
         }
 
         if let Some((key_tag, public_key)) = self.dnskey {
-            push(Record::new(
+            all.push(Record::new(
                 self.apex.clone(),
                 self.infra_ttl,
                 RData::Dnskey {
@@ -364,19 +404,44 @@ impl ZoneBuilder {
                     self.apex
                 )));
             }
-            push(rec);
+            all.push(rec);
         }
 
+        // One RRset per key, as `RrSet::from_records` groups them: the
+        // sort is stable, so each set keeps its RDATA in the order added.
+        let same_key = |a: &Record, b: &Record| a.rtype() == b.rtype() && a.name() == b.name();
+        all.sort_by(|a, b| a.name().cmp(b.name()).then(a.rtype().cmp(&b.rtype())));
+        let (infra, records): (Vec<RrSet>, Vec<RrSet>) = all
+            .chunk_by(same_key)
+            .map(|group| RrSet::from_records(group).expect("non-empty"))
+            .partition(|set| match set.rtype() {
+                RecordType::Ns => set.name() == &self.apex,
+                RecordType::A | RecordType::Aaaa => self.ns.iter().any(|(ns, _)| ns == set.name()),
+                _ => false,
+            });
+        let mut delegations = self.delegations;
+        for d in &delegations {
+            check_below_apex(&self.apex, d)?;
+        }
+        // Sorted in one go; of several delegations to one child the last
+        // added wins, as in `Zone::add_delegation`.
+        delegations.reverse();
+        delegations.sort_by(|a, b| a.child.cmp(&b.child));
+        delegations.dedup_by(|a, b| a.child == b.child);
+        delegations.shrink_to_fit();
         let mut zone = Zone {
             apex: self.apex,
             ns_names: self.ns.iter().map(|(n, _)| n.clone()).collect(),
             infra_ttl: self.infra_ttl,
-            records,
-            delegations: BTreeMap::new(),
+            infra,
+            records: records
+                .into_iter()
+                .map(|set| (set.key().clone(), set))
+                .collect(),
+            delegations,
+            stray_glue: Vec::new(),
         };
-        for d in self.delegations {
-            zone.add_delegation(d)?;
-        }
+        zone.index_stray_glue();
         Ok(zone)
     }
 }
@@ -526,6 +591,54 @@ mod tests {
         assert!(z.name_exists(&name("www.ucla.edu")));
         assert!(z.name_exists(&name("ucla.edu")));
         assert!(z.name_exists(&name("ns.cs.ucla.edu"))); // delegation glue
+        assert!(z.name_exists(&name("cs.ucla.edu"))); // the cut itself
         assert!(!z.name_exists(&name("nope.ucla.edu")));
+        assert!(!z.name_exists(&name("nope.cs.ucla.edu")));
+
+        // Glue outside its own child zone: beside every cut, and under a
+        // sibling's cut. Replacing the delegation retires it.
+        let mut z = ucla();
+        let glue = |host: &str| Record::new(name(host), Ttl::from_hours(12), RData::A(ip(54)));
+        let stray = |glue: Vec<Record>| {
+            Delegation::unsigned(
+                name("ee.ucla.edu"),
+                vec![name("ns.ucla.edu"), name("ns2.cs.ucla.edu")],
+                Ttl::from_hours(12),
+                glue,
+            )
+        };
+        z.add_delegation(stray(vec![glue("ns.ucla.edu"), glue("ns2.cs.ucla.edu")]))
+            .unwrap();
+        assert!(z.name_exists(&name("ns.ucla.edu")));
+        assert!(z.name_exists(&name("ns2.cs.ucla.edu")));
+        assert!(z.name_exists(&name("ee.ucla.edu")));
+        z.add_delegation(stray(Vec::new())).unwrap();
+        assert!(!z.name_exists(&name("ns.ucla.edu")));
+        assert!(!z.name_exists(&name("ns2.cs.ucla.edu")));
+        assert!(z.name_exists(&name("ns.cs.ucla.edu")));
+
+        // A zone of 5,000 cuts answers each probe from its own keys.
+        let com = name("com");
+        let mut builder =
+            ZoneBuilder::new(com.clone()).ns(name("a.gtld.net"), ip(1), Ttl::from_days(2));
+        for i in 0..5_000 {
+            let child = name(&format!("d{i}.com"));
+            let ns = name(&format!("ns.d{i}.com"));
+            builder = builder.delegate(Delegation::unsigned(
+                child,
+                vec![ns.clone()],
+                Ttl::from_days(2),
+                vec![Record::new(ns, Ttl::from_days(2), RData::A(ip(9)))],
+            ));
+        }
+        let z = builder.build().unwrap();
+        for i in [0, 2_500, 4_999] {
+            assert!(z.name_exists(&name(&format!("d{i}.com"))));
+            assert!(z.name_exists(&name(&format!("ns.d{i}.com"))));
+            assert!(!z.name_exists(&name(&format!("www.d{i}.com"))));
+        }
+        assert!(!z.name_exists(&name("d5000.com")));
+        assert!(z.name_exists(&com) == z.lookup(&com, RecordType::Ns).is_some());
+        assert_eq!(z.delegations().count(), 5_000);
     }
 }

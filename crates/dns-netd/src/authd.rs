@@ -55,12 +55,20 @@ impl Authd {
                         }
                         Err(_) => break,
                     };
-                    // Junk is dropped, and so is a response (QR set):
-                    // answering responses lets two servers bounce one
-                    // spoofed datagram between them forever.
+                    // A response (QR set) is dropped: answering responses
+                    // lets two servers bounce one spoofed datagram between
+                    // them forever. A query the decoder cannot represent
+                    // gets NOTIMP or FORMERR when its header and question
+                    // allow a reply, and other junk is dropped.
                     let query = match wire::decode(&buf[..len]) {
                         Ok(query) if !query.header.response => query,
-                        _ => continue,
+                        Ok(_) => continue,
+                        Err(_) => {
+                            if let Some(reply) = wire::reply_to_undecodable(&buf[..len], false) {
+                                let _ = socket.send_to(&reply, peer);
+                            }
+                            continue;
+                        }
                     };
                     let response = server.handle_query(&query);
                     // Count before sending so observers that received the

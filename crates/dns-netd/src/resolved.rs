@@ -599,8 +599,9 @@ pub struct Core<U> {
 impl<U: Upstream> Core<U> {
     /// Serves the datagrams of `rx` in arrival order at time `now`: `tx`
     /// is cleared, then gets at most one reply per datagram, addressed to
-    /// the datagram's peer. Undecodable datagrams and responses (QR set)
-    /// get none.
+    /// the datagram's peer. Responses (QR set) get none, and so do
+    /// undecodable datagrams unless [`wire::reply_to_undecodable`] frames
+    /// them as a query.
     pub fn step(&mut self, now: SimTime, rx: &PacketBatch, tx: &mut PacketBatch) {
         tx.clear();
         for packet in rx.iter() {
@@ -608,8 +609,8 @@ impl<U: Upstream> Core<U> {
         }
     }
 
-    /// Serves one datagram into `tx` (or drops it: undecodable queries,
-    /// responses and unencodable replies get no response).
+    /// Serves one datagram into `tx` (or drops it: junk, responses and
+    /// unencodable replies get no response).
     fn serve_packet(&mut self, now: SimTime, packet: &Packet, tx: &mut PacketBatch) {
         let raw = packet.bytes();
         let peer = packet.peer();
@@ -640,10 +641,18 @@ impl<U: Upstream> Core<U> {
 
         // Slow path: full decode → resolve → encode. A response (QR set)
         // is never answered: two servers that answer responses bounce a
-        // spoofed datagram between them forever.
+        // spoofed datagram between them forever. A query the decoder
+        // cannot represent gets NOTIMP or FORMERR when its header and
+        // question allow a reply.
         let query = match wire::decode(raw) {
             Ok(query) if !query.header.response => query,
-            _ => return,
+            Ok(_) => return,
+            Err(_) => {
+                if let Some(reply) = wire::reply_to_undecodable(raw, true) {
+                    tx.push_copy(&reply, peer);
+                }
+                return;
+            }
         };
         let (response, expiry) = self.answer(&query, now);
         let shared = &self.shared;

@@ -1,7 +1,8 @@
 //! Wire fast-lane integration tests: 0x20 casing echo over real UDP,
-//! EDNS0/OPT handling, wire-cache hit behaviour, and a burst served by a
-//! stepped daemon core under fault injection — the code every worker
-//! thread runs per batch, without a socket in front of it.
+//! EDNS0/OPT handling, NOTIMP for a query type the codec does not
+//! represent, wire-cache hit behaviour, and a burst served by a stepped
+//! daemon core under fault injection — the code every worker thread runs
+//! per batch, without a socket in front of it.
 
 use dns_core::{wire, Rcode, RecordType, ResponseKind, SimTime};
 use dns_netd::{playground, FaultInjector, Resolved, UdpUpstream};
@@ -144,6 +145,39 @@ fn edns0_opt_queries_are_answered_with_opt_stripped() {
         "OPT query must be counted as a fast-lane bypass: {}",
         resolver.stats()
     );
+
+    resolver.stop();
+    net.stop();
+}
+
+#[test]
+fn unrepresentable_query_types_get_notimp_over_udp() {
+    let net = playground::boot().unwrap();
+    let udp = UdpUpstream::with_route(Duration::from_millis(500), net.route_fn()).unwrap();
+    let config = ResolverConfig::with_refresh()
+        .to_builder()
+        .retry(test_retry())
+        .seed(8)
+        .build();
+    let cs = CachingServer::new(config, net.hints.clone());
+    let resolver = Resolved::spawn(cs, udp, "127.0.0.1:0").unwrap();
+
+    // Type HTTPS (65), which the decoder rejects, in 0x20 casing. Both
+    // the resolver and an authoritative daemon answer NOTIMP at once,
+    // echoing the question byte for byte, instead of leaving the client
+    // to time out.
+    let mut q = spelled_query(0x6565, "wWw.UcLa.eDu", RecordType::A);
+    let qtype = q.len() - 4;
+    q[qtype..qtype + 2].copy_from_slice(&65u16.to_be_bytes());
+    let root = net.route_fn()(net.top_level_ips()[0]);
+    for (addr, ra) in [(resolver.addr(), 0x80), (root, 0)] {
+        let r = raw_exchange(addr, &q, client_timeout());
+        assert_eq!(r[..2], q[..2], "ID echoed");
+        assert_eq!(r[2] & 0x80, 0x80, "a response");
+        assert_eq!(r[3], ra | Rcode::NotImp.code(), "RA from the resolver only");
+        assert_eq!(r[4..12], [0, 1, 0, 0, 0, 0, 0, 0], "the question alone");
+        assert_eq!(r[12..], q[12..], "question echoed byte for byte");
+    }
 
     resolver.stop();
     net.stop();

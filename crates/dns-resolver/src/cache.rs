@@ -4,7 +4,7 @@
 //! infrastructure records live in [`crate::InfraCache`], which the
 //! resilience policies operate on.
 
-use dns_core::{Name, RecordType, RrKey, RrKeyView, RrSet, SimDuration, SimTime, Ttl};
+use dns_core::{Name, RData, RecordType, RrKey, RrKeyView, RrSet, SimDuration, SimTime, Ttl};
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
@@ -78,6 +78,15 @@ struct Slot {
     queued: SimTime,
 }
 
+/// Collects `items` into a vector holding exactly their number: cache
+/// entries keep their lists for their whole lifetime, and most hold one
+/// or two items.
+pub(crate) fn exact_vec<T>(items: impl Iterator<Item = T> + Clone) -> Vec<T> {
+    let mut out = Vec::with_capacity(items.clone().count());
+    out.extend(items);
+    out
+}
+
 /// Approximate heap cost of one negative entry: its key's wire-format name
 /// length plus fixed map/heap overhead.
 fn negative_cost(key: &RrKey) -> usize {
@@ -146,26 +155,57 @@ impl RecordCache {
     ///
     /// Returns `true` when the set was stored.
     pub fn insert(&mut self, set: RrSet, now: SimTime, credibility: Credibility) -> bool {
-        let expires_at = set.ttl().expires_at(now);
-        let added = set.len();
-        match self.entries.get_mut(set.key()) {
+        self.insert_rdatas(
+            set.name(),
+            set.rtype(),
+            set.ttl(),
+            set.rdatas(),
+            now,
+            credibility,
+        )
+    }
+
+    /// [`RecordCache::insert`] for the RRset `(name, rtype)` with `ttl`
+    /// and `rdatas`, borrowed from wherever they arrived. An [`RrSet`] is
+    /// built only when the cached copy differs: a copy equal to the cached
+    /// one, as a TTL refresh re-delivers it, renews the entry in place.
+    pub fn insert_rdatas<'a, R>(
+        &mut self,
+        name: &Name,
+        rtype: RecordType,
+        ttl: Ttl,
+        rdatas: R,
+        now: SimTime,
+        credibility: Credibility,
+    ) -> bool
+    where
+        R: IntoIterator<Item = &'a RData>,
+        R::IntoIter: Clone,
+    {
+        let rdatas = rdatas.into_iter();
+        let expires_at = ttl.expires_at(now);
+        match self.entries.get_mut(&(name, rtype) as &dyn RrKeyView) {
             Some(slot) => {
                 if slot.entry.is_fresh(now) && slot.entry.credibility > credibility {
                     return false;
                 }
+                let set = &mut slot.entry.set;
                 if expires_at < slot.queued {
                     slot.queued = expires_at;
                     self.expiry.push(Reverse((expires_at, set.key().clone())));
                 }
-                self.record_total = self.record_total - slot.entry.set.len() + added;
-                slot.entry = CacheEntry {
-                    set,
-                    expires_at,
-                    credibility,
-                };
+                if set.ttl() != ttl || !set.rdatas().iter().eq(rdatas.clone()) {
+                    let stored = RrSet::new(set.key().clone(), ttl, exact_vec(rdatas.cloned()));
+                    self.record_total = self.record_total - set.len() + stored.len();
+                    *set = stored;
+                }
+                slot.entry.expires_at = expires_at;
+                slot.entry.credibility = credibility;
             }
             None => {
-                let key = set.key().clone();
+                let key = RrKey::new(name.clone(), rtype);
+                let set = RrSet::new(key.clone(), ttl, exact_vec(rdatas.cloned()));
+                self.record_total += set.len();
                 self.expiry.push(Reverse((expires_at, key.clone())));
                 let entry = CacheEntry {
                     set,
@@ -179,7 +219,6 @@ impl RecordCache {
                         queued: expires_at,
                     },
                 );
-                self.record_total += added;
             }
         }
         true

@@ -7,10 +7,12 @@
 //! measure the paper's Figure-3 "time gap" between IRR expiry and the next
 //! use of the zone.
 
+use crate::cache::exact_vec;
 use crate::RenewalPolicy;
 use dns_core::{Name, SimDuration, SimTime, Ttl};
+use std::borrow::Borrow;
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -61,6 +63,11 @@ pub struct InfraEntry {
     /// due, never after `expires_at`. Root hints never expire; they count
     /// at [`SimTime::MAX`] without a pair.
     queued: Option<SimTime>,
+    /// When this entry's live pair on the renewal schedule falls due,
+    /// never after `expires_at`. `None` once that pair came due at the
+    /// expiry (renewed or not), until an install schedules the entry
+    /// again; root hints are never scheduled.
+    renew_at: Option<SimTime>,
 }
 
 impl InfraEntry {
@@ -107,13 +114,30 @@ pub struct GapSample {
     pub ttl: Ttl,
 }
 
+/// A zone apex as a map key, hashed and compared by its suffix bytes
+/// exactly like [`Name`], so the ancestor walk probes with the borrowed
+/// bytes of each ancestor instead of a `Name` per step.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct ZoneKey(Name);
+
+impl Borrow<[u8]> for ZoneKey {
+    fn borrow(&self) -> &[u8] {
+        self.0.as_suffix_bytes()
+    }
+}
+
 /// The per-zone infrastructure cache.
 #[derive(Debug, Clone, Default)]
 pub struct InfraCache {
-    entries: HashMap<Name, InfraEntry>,
-    /// Renewal schedule: `(expiry, zone)` pairs for finite entries. Stale
-    /// pairs (entry refreshed since scheduling) are skipped on pop.
-    schedule: BTreeSet<(SimTime, Name)>,
+    entries: HashMap<ZoneKey, InfraEntry>,
+    /// Renewal min-heap, one pair per scheduled entry at its `renew_at`,
+    /// like the expiry heap below: an install that extends an entry
+    /// pushes nothing, and the due pair re-queues the entry at its current
+    /// expiry. An install that moves the expiry earlier pushes a second
+    /// pair, and the superseded one is skipped when it pops. Pairs pop in
+    /// time and then label-wise zone order, the order renewals fire (and
+    /// draw query IDs) in.
+    schedule: BinaryHeap<Reverse<(SimTime, Name)>>,
     gap_samples: Vec<GapSample>,
     /// Occupancy expiry min-heap, one pair per counted entry at its
     /// `queued` time, like `RecordCache`'s: a refresh that extends an entry
@@ -148,12 +172,13 @@ impl InfraCache {
             last_parent_contact: SimTime::MAX,
             gap_recorded: true,
             queued: Some(SimTime::MAX),
+            renew_at: None,
         };
         // Hints never expire, so they are counted once and never pushed
         // onto the expiry heap.
         self.fresh_zones += 1;
         self.fresh_records += entry.record_count();
-        if let Some(old) = self.entries.insert(Name::root(), entry) {
+        if let Some(old) = self.entries.insert(ZoneKey(Name::root()), entry) {
             if old.queued.is_some() {
                 self.fresh_zones -= 1;
                 self.fresh_records -= old.record_count();
@@ -163,7 +188,7 @@ impl InfraCache {
 
     /// Looks up the entry for an exact zone (fresh or tombstoned).
     pub fn get(&self, zone: &Name) -> Option<&InfraEntry> {
-        self.entries.get(zone)
+        self.entries.get(zone.as_suffix_bytes())
     }
 
     /// The deepest ancestor zone of `name` (including `name` itself) with a
@@ -185,8 +210,8 @@ impl InfraCache {
         now: SimTime,
         max_parent_age: Option<SimDuration>,
     ) -> Option<&InfraEntry> {
-        name.ancestors().find_map(|z| {
-            self.entries.get(&z).filter(|e| {
+        name.ancestor_bytes().find_map(|z| {
+            self.entries.get(z).filter(|e| {
                 if !e.is_fresh(now) || e.addrs.is_empty() {
                     return false;
                 }
@@ -217,36 +242,45 @@ impl InfraCache {
     /// * anything replaces an expired entry,
     /// * root hints are never replaced.
     ///
-    /// Returns `true` when the entry was (re)installed or refreshed.
+    /// Returns `None` when the offered copy was ignored, and otherwise
+    /// `Some(refreshed)`: whether the install replaced a fresh
+    /// child-sourced copy (the paper's TTL refresh when `refresh` is on).
     ///
     /// A reinstall updates the entry in place: credit survives expiry (the
     /// paper's renewal policies decrement it per renewal, not per expiry),
     /// DS material survives (only the parent can change it; see
     /// [`InfraCache::set_ds`]), and a child copy keeps the last parent
     /// confirmation time while a parent copy confirms the delegation now.
+    /// NS names and addresses equal to the cached ones are kept as they
+    /// are, so a refresh that re-delivers them allocates nothing.
     #[allow(clippy::too_many_arguments)]
-    pub fn install(
+    pub fn install<'a, N, A>(
         &mut self,
-        zone: Name,
-        ns_names: Vec<Name>,
-        addrs: Vec<(Name, Ipv4Addr)>,
+        zone: &Name,
+        ns_names: N,
+        addrs: A,
         ttl: Ttl,
         now: SimTime,
         source: InfraSource,
         refresh: bool,
-    ) -> bool {
-        if ns_names.is_empty() {
-            return false;
-        }
+    ) -> Option<bool>
+    where
+        N: IntoIterator<Item = &'a Name>,
+        N::IntoIter: Clone,
+        A: IntoIterator<Item = (&'a Name, Ipv4Addr)>,
+        A::IntoIter: Clone,
+    {
+        let (ns_names, addrs) = (ns_names.into_iter(), addrs.into_iter());
+        ns_names.clone().next()?;
         let expires_at = ttl.expires_at(now);
-        let Some(entry) = self.entries.get_mut(&zone) else {
+        let Some(entry) = self.entries.get_mut(zone.as_suffix_bytes()) else {
             // First-learned entries start the parent-contact clock at
             // installation.
-            self.schedule.insert((expires_at, zone.clone()));
+            self.schedule.push(Reverse((expires_at, zone.clone())));
             let mut entry = InfraEntry {
                 zone: zone.clone(),
-                ns_names,
-                addrs,
+                ns_names: exact_vec(ns_names.cloned()),
+                addrs: exact_vec(addrs.map(|(n, a)| (n.clone(), a))),
                 ttl,
                 expires_at,
                 source,
@@ -255,6 +289,7 @@ impl InfraCache {
                 last_parent_contact: now,
                 gap_recorded: false,
                 queued: None,
+                renew_at: Some(expires_at),
             };
             if now < expires_at {
                 entry.queued = Some(expires_at);
@@ -262,12 +297,13 @@ impl InfraCache {
                 self.fresh_zones += 1;
                 self.fresh_records += entry.record_count();
             }
-            self.entries.insert(zone, entry);
-            return true;
+            self.entries.insert(ZoneKey(zone.clone()), entry);
+            return Some(false);
         };
         if entry.source == InfraSource::RootHints {
-            return false;
+            return None;
         }
+        let fresh_child = entry.is_fresh(now) && entry.source == InfraSource::Child;
         if entry.is_fresh(now) {
             let replace = match (entry.source, source) {
                 // Child data replaces parent data…
@@ -284,34 +320,46 @@ impl InfraCache {
                 // A *different* parent NS set means the delegation
                 // changed (e.g. the zone was reclaimed): parent wins.
                 (InfraSource::Child, InfraSource::Parent) => {
-                    let mut held = entry.ns_names.clone();
-                    let mut offered = ns_names.clone();
-                    held.sort();
-                    offered.sort();
-                    if held == offered {
+                    if same_members(&entry.ns_names, ns_names.clone()) {
                         entry.last_parent_contact = now;
-                        return false;
+                        return None;
                     }
                     true
                 }
                 (InfraSource::RootHints, _) | (_, InfraSource::RootHints) => false,
             };
             if !replace {
-                return false;
+                return None;
             }
         } else if let Some(sample) = entry.take_gap_sample(now) {
             // Reinstalling after expiry: record the Figure-3 gap.
             self.gap_samples.push(sample);
         }
-        if entry.expires_at != expires_at {
-            self.schedule.remove(&(entry.expires_at, zone.clone()));
+        match entry.renew_at {
+            // Due no later than the new expiry: the pair re-queues the
+            // entry when it falls due.
+            Some(at) if at <= expires_at => {}
+            _ => {
+                entry.renew_at = Some(expires_at);
+                self.schedule.push(Reverse((expires_at, zone.clone())));
+            }
         }
-        // Re-adds the pair when unchanged too: a renewal pop may have
-        // consumed it.
-        self.schedule.insert((expires_at, zone.clone()));
         let old_records = entry.record_count();
-        entry.ns_names = ns_names;
-        entry.addrs = addrs;
+        // The offered items are reborrowed (`|n| n`) so comparing them
+        // with the held ones does not tie the held lists to `'a`.
+        #[allow(clippy::map_identity)]
+        if !entry.ns_names.iter().eq(ns_names.clone().map(|n| n)) {
+            entry.ns_names = exact_vec(ns_names.cloned());
+        }
+        #[allow(clippy::map_identity)]
+        if !entry
+            .addrs
+            .iter()
+            .map(|(n, a)| (n, *a))
+            .eq(addrs.clone().map(|(n, a)| (n, a)))
+        {
+            entry.addrs = exact_vec(addrs.map(|(n, a)| (n.clone(), a)));
+        }
         entry.ttl = ttl;
         entry.expires_at = expires_at;
         entry.source = source;
@@ -325,7 +373,7 @@ impl InfraCache {
                 self.fresh_records = self.fresh_records - old_records + new_records;
                 if expires_at < queued {
                     entry.queued = Some(expires_at);
-                    self.expiry.push(Reverse((expires_at, zone)));
+                    self.expiry.push(Reverse((expires_at, zone.clone())));
                 }
             }
             (Some(_), false) => {
@@ -335,13 +383,13 @@ impl InfraCache {
             }
             (None, true) => {
                 entry.queued = Some(expires_at);
-                self.expiry.push(Reverse((expires_at, zone)));
+                self.expiry.push(Reverse((expires_at, zone.clone())));
                 self.fresh_zones += 1;
                 self.fresh_records += new_records;
             }
             (None, false) => {}
         }
-        true
+        Some(fresh_child)
     }
 
     /// Retires the counter contribution of every entry whose expiry is at
@@ -354,7 +402,7 @@ impl InfraCache {
             .is_some_and(|Reverse((at, _))| *at <= now)
         {
             let Reverse((at, zone)) = self.expiry.pop().expect("peeked");
-            let Some(entry) = self.entries.get_mut(&zone) else {
+            let Some(entry) = self.entries.get_mut(zone.as_suffix_bytes()) else {
                 continue;
             };
             if entry.queued != Some(at) {
@@ -377,7 +425,8 @@ impl InfraCache {
     /// is active) grants credit.
     pub fn record_use(&mut self, zone: &Name, now: SimTime, policy: Option<&RenewalPolicy>) {
         self.note_gap(zone, now);
-        if let (Some(policy), Some(entry)) = (policy, self.entries.get_mut(zone)) {
+        if let (Some(policy), Some(entry)) = (policy, self.entries.get_mut(zone.as_suffix_bytes()))
+        {
             if entry.source != InfraSource::RootHints {
                 entry.credit = policy.credit_on_use(entry.credit, entry.ttl);
             }
@@ -387,7 +436,7 @@ impl InfraCache {
     /// Consumes one renewal credit for `zone`, returning the entry snapshot
     /// to renew from, or `None` when the zone has no credit (or no entry).
     pub fn consume_renewal_credit(&mut self, zone: &Name) -> Option<InfraEntry> {
-        let entry = self.entries.get_mut(zone)?;
+        let entry = self.entries.get_mut(zone.as_suffix_bytes())?;
         if entry.credit == 0 || entry.source == InfraSource::RootHints {
             return None;
         }
@@ -396,57 +445,74 @@ impl InfraCache {
     }
 
     /// The next scheduled expiry at or before `upto` whose entry still
-    /// expires at that instant and has renewal credit. Stale schedule pairs
-    /// are discarded as encountered.
+    /// expires at that instant and has renewal credit. Due entries without
+    /// credit are passed over and stay unscheduled until their next
+    /// install.
     pub fn next_renewal_due(&mut self, upto: SimTime) -> Option<(SimTime, Name)> {
-        while let Some((at, zone)) = self.schedule.first().cloned() {
-            if at > upto {
-                return None;
-            }
-            self.schedule.remove(&(at, zone.clone()));
-            if let Some(entry) = self.entries.get(&zone) {
-                if entry.expires_at == at && entry.credit > 0 {
-                    return Some((at, zone));
-                }
+        while let Some((at, zone, credited)) = self.pop_renewal(upto) {
+            if credited {
+                return Some((at, zone));
             }
         }
         None
     }
 
-    /// Earliest scheduled expiry with positive credit (peek, no mutation of
-    /// entries; stale pairs are discarded).
+    /// Earliest scheduled expiry with positive credit, leaving the
+    /// schedule as [`InfraCache::next_renewal_due`] would find it.
     pub fn peek_renewal_due(&mut self) -> Option<SimTime> {
-        while let Some((at, zone)) = self.schedule.first().cloned() {
-            match self.entries.get(&zone) {
-                Some(entry) if entry.expires_at == at && entry.credit > 0 => {
-                    return Some(at);
-                }
-                Some(entry) if entry.expires_at == at => return self.peek_after(at),
-                _ => {
-                    self.schedule.remove(&(at, zone));
-                }
+        let mut passed = Vec::new();
+        let due = loop {
+            let Some((at, zone, credited)) = self.pop_renewal(SimTime::MAX) else {
+                break None;
+            };
+            passed.push((at, zone));
+            if credited {
+                break Some(at);
             }
+        };
+        // Schedule the popped entries again, exactly as they were.
+        for (at, zone) in passed {
+            if let Some(entry) = self.entries.get_mut(zone.as_suffix_bytes()) {
+                entry.renew_at = Some(at);
+            }
+            self.schedule.push(Reverse((at, zone)));
         }
-        None
+        due
     }
 
-    fn peek_after(&self, after: SimTime) -> Option<SimTime> {
-        self.schedule
-            .iter()
-            .find(|(at, zone)| {
-                *at >= after
-                    && self
-                        .entries
-                        .get(zone)
-                        .is_some_and(|e| e.expires_at == *at && e.credit > 0)
-            })
-            .map(|&(at, _)| at)
+    /// Pops the next pair due at or before `upto` whose entry expires at
+    /// that instant, unschedules the entry and says whether it holds
+    /// credit. Superseded pairs and pairs of purged entries are dropped on
+    /// the way; a pair whose entry was extended since it was queued
+    /// re-queues the entry at its current expiry.
+    fn pop_renewal(&mut self, upto: SimTime) -> Option<(SimTime, Name, bool)> {
+        while self
+            .schedule
+            .peek()
+            .is_some_and(|Reverse((at, _))| *at <= upto)
+        {
+            let Reverse((at, zone)) = self.schedule.pop().expect("peeked");
+            let Some(entry) = self.entries.get_mut(zone.as_suffix_bytes()) else {
+                continue;
+            };
+            if entry.renew_at != Some(at) {
+                continue;
+            }
+            if entry.expires_at > at {
+                entry.renew_at = Some(entry.expires_at);
+                self.schedule.push(Reverse((entry.expires_at, zone)));
+                continue;
+            }
+            entry.renew_at = None;
+            return Some((at, zone, entry.credit > 0));
+        }
+        None
     }
 
     fn note_gap(&mut self, zone: &Name, now: SimTime) {
         if let Some(sample) = self
             .entries
-            .get_mut(zone)
+            .get_mut(zone.as_suffix_bytes())
             .and_then(|e| e.take_gap_sample(now))
         {
             self.gap_samples.push(sample);
@@ -462,7 +528,7 @@ impl InfraCache {
     /// the resolver when a referral carries DS records (paper §6: DNSSEC
     /// infrastructure records are cached with the other IRRs).
     pub fn set_ds(&mut self, zone: &Name, ds: Vec<(u16, u32)>) {
-        if let Some(entry) = self.entries.get_mut(zone) {
+        if let Some(entry) = self.entries.get_mut(zone.as_suffix_bytes()) {
             if entry.source != InfraSource::RootHints && !ds.is_empty() {
                 entry.ds = ds;
             }
@@ -475,7 +541,7 @@ impl InfraCache {
     /// dead one ("the next server in the IRR is queried" — paper §4; once
     /// one answers, prefer it).
     pub fn promote_address(&mut self, zone: &Name, addr: Ipv4Addr) {
-        if let Some(entry) = self.entries.get_mut(zone) {
+        if let Some(entry) = self.entries.get_mut(zone.as_suffix_bytes()) {
             if let Some(pos) = entry.addrs.iter().position(|&(_, a)| a == addr) {
                 if pos > 0 {
                     let pair = entry.addrs.remove(pos);
@@ -489,7 +555,7 @@ impl InfraCache {
     /// server name was resolved out-of-bailiwick, so the original referral
     /// carried no glue). Unknown server names and duplicates are ignored.
     pub fn add_addresses(&mut self, zone: &Name, pairs: &[(Name, Ipv4Addr)]) {
-        if let Some(entry) = self.entries.get_mut(zone) {
+        if let Some(entry) = self.entries.get_mut(zone.as_suffix_bytes()) {
             for (ns, addr) in pairs {
                 if entry.ns_names.contains(ns) && !entry.addrs.iter().any(|(n, _)| n == ns) {
                     entry.addrs.push((ns.clone(), *addr));
@@ -540,6 +606,17 @@ impl InfraCache {
     }
 }
 
+/// Whether `offered` holds the same names as `held`, each as often, in
+/// any order. Equal lengths and equal counts of every held name leave no
+/// room for another name.
+fn same_members<'a>(held: &[Name], offered: impl Iterator<Item = &'a Name> + Clone) -> bool {
+    offered.clone().count() == held.len()
+        && held.iter().all(|name| {
+            let held_times = held.iter().filter(|n| *n == name).count();
+            held_times == offered.clone().filter(|n| *n == name).count()
+        })
+}
+
 impl fmt::Display for InfraCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "infra cache ({} zones)", self.entries.len())
@@ -558,6 +635,38 @@ mod tests {
         Ipv4Addr::new(192, 0, 2, last)
     }
 
+    /// `install` from owned lists, reporting whether the copy was taken.
+    trait InstallOwned {
+        #[allow(clippy::too_many_arguments)]
+        fn install_owned(
+            &mut self,
+            zone: Name,
+            ns_names: Vec<Name>,
+            addrs: Vec<(Name, Ipv4Addr)>,
+            ttl: Ttl,
+            now: SimTime,
+            source: InfraSource,
+            refresh: bool,
+        ) -> bool;
+    }
+
+    impl InstallOwned for InfraCache {
+        fn install_owned(
+            &mut self,
+            zone: Name,
+            ns_names: Vec<Name>,
+            addrs: Vec<(Name, Ipv4Addr)>,
+            ttl: Ttl,
+            now: SimTime,
+            source: InfraSource,
+            refresh: bool,
+        ) -> bool {
+            let addrs = addrs.iter().map(|(n, a)| (n, *a));
+            self.install(&zone, &ns_names, addrs, ttl, now, source, refresh)
+                .is_some()
+        }
+    }
+
     fn cache_with_root() -> InfraCache {
         let mut c = InfraCache::new();
         c.install_root_hints(&[(name("a.root-servers.net"), ip(4))]);
@@ -565,7 +674,7 @@ mod tests {
     }
 
     fn install_ucla(c: &mut InfraCache, now: SimTime, source: InfraSource, refresh: bool) -> bool {
-        c.install(
+        c.install_owned(
             name("ucla.edu"),
             vec![name("ns1.ucla.edu")],
             vec![(name("ns1.ucla.edu"), ip(1))],
@@ -584,7 +693,7 @@ mod tests {
             .unwrap();
         assert!(entry.zone.is_root());
         // A parent/child copy cannot displace the hints.
-        assert!(!c.install(
+        assert!(!c.install_owned(
             Name::root(),
             vec![name("evil.example")],
             vec![(name("evil.example"), ip(66))],
@@ -598,7 +707,7 @@ mod tests {
     #[test]
     fn deepest_fresh_ancestor_prefers_deeper_zone() {
         let mut c = cache_with_root();
-        c.install(
+        c.install_owned(
             name("edu"),
             vec![name("ns.edu")],
             vec![(name("ns.edu"), ip(2))],
@@ -622,7 +731,7 @@ mod tests {
     #[test]
     fn entries_without_addresses_are_skipped() {
         let mut c = cache_with_root();
-        c.install(
+        c.install_owned(
             name("edu"),
             vec![name("ns.edu")],
             vec![], // NS known but no address
@@ -772,7 +881,7 @@ mod tests {
     fn renewal_schedule_pops_due_entries_in_order() {
         let mut c = cache_with_root();
         install_ucla(&mut c, SimTime::ZERO, InfraSource::Child, true); // expires 12h
-        c.install(
+        c.install_owned(
             name("mit.edu"),
             vec![name("ns.mit.edu")],
             vec![(name("ns.mit.edu"), ip(9))],
@@ -816,6 +925,36 @@ mod tests {
     }
 
     #[test]
+    fn earlier_expiry_renews_then_and_its_superseded_pair_never_fires() {
+        let mut c = cache_with_root();
+        install_ucla(&mut c, SimTime::ZERO, InfraSource::Child, true); // queued at 12 h
+        c.record_use(
+            &name("ucla.edu"),
+            SimTime::from_mins(1),
+            Some(&RenewalPolicy::lru(3)),
+        );
+        // At 3 h the parent reclaims the delegation for one hour: the
+        // entry now expires at 4 h, before its queued 12-hour pair.
+        assert!(c.install_owned(
+            name("ucla.edu"),
+            vec![name("ns9.ucla.edu")],
+            vec![(name("ns9.ucla.edu"), ip(9))],
+            Ttl::from_hours(1),
+            SimTime::from_hours(3),
+            InfraSource::Parent,
+            true,
+        ));
+        assert_eq!(c.peek_renewal_due(), Some(SimTime::from_hours(4)));
+        assert_eq!(c.next_renewal_due(SimTime::from_hours(3)), None);
+        let (at, zone) = c.next_renewal_due(SimTime::from_days(1)).unwrap();
+        assert_eq!((at, zone), (SimTime::from_hours(4), name("ucla.edu")));
+        assert!(c.consume_renewal_credit(&name("ucla.edu")).is_some());
+        // Credit is left, but the superseded 12-hour pair never fires.
+        assert_eq!(c.peek_renewal_due(), None);
+        assert_eq!(c.next_renewal_due(SimTime::from_days(1)), None);
+    }
+
+    #[test]
     fn matching_parent_copy_confirms_without_replacing() {
         let mut c = cache_with_root();
         install_ucla(&mut c, SimTime::ZERO, InfraSource::Child, true);
@@ -838,7 +977,7 @@ mod tests {
         let mut c = cache_with_root();
         install_ucla(&mut c, SimTime::ZERO, InfraSource::Child, true);
         // The parent now lists a different server: delegation reclaimed.
-        assert!(c.install(
+        assert!(c.install_owned(
             name("ucla.edu"),
             vec![name("ns9.ucla.edu")],
             vec![(name("ns9.ucla.edu"), ip(9))],
@@ -918,7 +1057,7 @@ mod tests {
         }
         // The parent reclaims the delegation with a TTL that ends before
         // the queued 12-hour pair.
-        assert!(c.install(
+        assert!(c.install_owned(
             name("ucla.edu"),
             vec![name("ns9.ucla.edu")],
             vec![],
@@ -940,7 +1079,7 @@ mod tests {
         let mut c = cache_with_root();
         install_ucla(&mut c, SimTime::ZERO, InfraSource::Child, true); // queued at 12 h
         let reclaim = |c: &mut InfraCache, hours: u64, ttl: Ttl, ns: &str| {
-            c.install(
+            c.install_owned(
                 name("ucla.edu"),
                 vec![name(ns)],
                 vec![],

@@ -7,7 +7,7 @@ use crate::{
     RootHints, ShardedCache, Upstream,
 };
 use dns_core::{
-    Message, Name, Question, RData, Record, RecordType, ResponseKind, RrKey, RrKeyView, RrSet,
+    Message, Name, Question, RData, Record, RecordType, ResponseKind, RrKey, RrKeyView,
     SimDuration, SimTime, Ttl,
 };
 use dns_obs::{LogHistogram, TraceEvent, TraceOutcome};
@@ -856,14 +856,14 @@ impl CachingServer {
         let mut records: Vec<Record> = Vec::new();
         let mut qname = question.name.clone();
         for _ in 0..MAX_CNAME_CHAIN {
-            let direct: Vec<Record> = resp
-                .answers
-                .iter()
-                .filter(|r| r.name() == &qname && r.rtype() == question.rtype)
-                .cloned()
-                .collect();
-            if !direct.is_empty() {
-                records.extend(direct);
+            let chain_len = records.len();
+            records.extend(
+                resp.answers
+                    .iter()
+                    .filter(|r| r.name() == &qname && r.rtype() == question.rtype)
+                    .cloned(),
+            );
+            if records.len() > chain_len {
                 return Outcome::Answer {
                     records,
                     from_cache: false,
@@ -1080,97 +1080,94 @@ impl CachingServer {
         }
 
         // Answer section → record cache (authoritative data only). Its NS
-        // sets are kept for the infrastructure cache below.
-        let mut answer_ns = Vec::new();
+        // sets go to the infrastructure cache below.
         if resp.header.authoritative {
-            for set in group_rrsets(&resp.answers) {
-                if set.rtype() == RecordType::Ns {
-                    answer_ns.push(set);
-                    continue;
+            for set in section_rrsets(&resp.answers) {
+                if set.rtype() == RecordType::Ns || !set.name().is_subdomain_of(zone_queried) {
+                    continue; // infrastructure, or out of bailiwick
                 }
-                if !set.name().is_subdomain_of(zone_queried) {
-                    continue; // out of bailiwick
-                }
-                let set = self.cap_ttl(set);
-                self.backend
-                    .insert_record(set, now, Credibility::AuthAnswer);
+                self.backend.insert_record(
+                    set.name(),
+                    set.rtype(),
+                    set.ttl.min(self.config.ttl_cap),
+                    set.rdatas(),
+                    now,
+                    Credibility::AuthAnswer,
+                );
             }
         }
 
         // Additional section → glue addresses (low credibility).
-        let glue = resp
-            .additionals
-            .iter()
-            .filter(|r| matches!(r.rtype(), RecordType::A | RecordType::Aaaa));
-        for set in group_rrsets(glue) {
-            if !set.name().is_subdomain_of(zone_queried) {
+        for set in section_rrsets(&resp.additionals) {
+            if !matches!(set.rtype(), RecordType::A | RecordType::Aaaa)
+                || !set.name().is_subdomain_of(zone_queried)
+            {
                 continue;
             }
-            let set = self.cap_ttl(set);
-            self.backend
-                .insert_record(set, now, Credibility::Additional);
+            self.backend.insert_record(
+                set.name(),
+                set.rtype(),
+                set.ttl.min(self.config.ttl_cap),
+                set.rdatas(),
+                now,
+                Credibility::Additional,
+            );
         }
 
         // NS sets (authority section, and answer section for explicit NS
         // queries such as renewals) → infrastructure cache.
-        let authority_ns = resp
-            .authorities
-            .iter()
-            .filter(|r| r.rtype() == RecordType::Ns);
-        for set in group_rrsets(authority_ns).into_iter().chain(answer_ns) {
-            let owner = set.name().clone();
+        let source = if resp.header.authoritative {
+            InfraSource::Child
+        } else {
+            InfraSource::Parent
+        };
+        let answer_ns: &[Record] = if resp.header.authoritative {
+            &resp.answers
+        } else {
+            &[]
+        };
+        let ns_sets = section_rrsets(&resp.authorities)
+            .chain(section_rrsets(answer_ns))
+            .filter(|set| set.rtype() == RecordType::Ns);
+        for set in ns_sets {
+            let owner = set.name();
             if !owner.is_subdomain_of(zone_queried) {
                 continue;
             }
-            let source = if resp.header.authoritative {
-                InfraSource::Child
-            } else {
-                InfraSource::Parent
-            };
-            let ns_names: Vec<Name> = set
-                .rdatas()
-                .iter()
-                .filter_map(|rd| match rd {
-                    RData::Ns(n) => Some(n.clone()),
-                    _ => None,
-                })
-                .collect();
-            let mut addrs: Vec<(Name, Ipv4Addr)> = Vec::new();
-            for ns in &ns_names {
-                for rec in resp.additionals.iter().chain(resp.answers.iter()) {
-                    if rec.name() == ns {
-                        if let RData::A(a) = rec.rdata() {
-                            addrs.push((ns.clone(), *a));
-                        }
-                    }
-                }
-                // Fill gaps from the record cache.
-                if !addrs.iter().any(|(n, _)| n == ns) {
+            let ns_names = set.rdatas().filter_map(|rd| match rd {
+                RData::Ns(n) => Some(n),
+                _ => None,
+            });
+            // Servers the response carries no address for: fill the gap
+            // from the record cache.
+            let mut cached: Vec<(Name, Ipv4Addr)> = Vec::new();
+            for ns in ns_names.clone() {
+                if response_addrs(resp, ns).next().is_none() {
                     self.backend.with_record(ns, RecordType::A, now, |e| {
-                        if let Some(e) = e {
-                            for rd in e.set.rdatas() {
-                                if let RData::A(a) = rd {
-                                    addrs.push((ns.clone(), *a));
-                                }
+                        for rd in e.into_iter().flat_map(|e| e.set.rdatas()) {
+                            if let RData::A(a) = rd {
+                                cached.push((ns.clone(), *a));
                             }
                         }
                     });
                 }
             }
-            let ttl = set.ttl().min(self.config.ttl_cap);
-            let was_fresh_child = self.backend.with_infra(&owner, |e| {
-                e.is_some_and(|e| e.is_fresh(now) && e.source == InfraSource::Child)
+            let addrs = ns_names.clone().flat_map(|ns| {
+                let filled = cached.iter().filter(move |(n, _)| n == ns);
+                response_addrs(resp, ns)
+                    .map(move |a| (ns, a))
+                    .chain(filled.map(|(n, a)| (n, *a)))
             });
             let installed = self.backend.infra().install(
                 owner,
                 ns_names,
                 addrs,
-                ttl,
+                set.ttl.min(self.config.ttl_cap),
                 now,
                 source,
                 self.config.refresh,
             );
-            if installed && was_fresh_child && self.config.refresh {
+            if installed == Some(true) && self.config.refresh {
                 self.metrics.refreshes += 1;
             }
         }
@@ -1214,11 +1211,6 @@ impl CachingServer {
             .min(self.config.negative_ttl_cap)
     }
 
-    fn cap_ttl(&self, set: RrSet) -> RrSet {
-        let capped = set.ttl().min(self.config.ttl_cap);
-        set.with_ttl(capped)
-    }
-
     /// A fresh, unpredictable query ID from the seeded RNG.
     fn take_id(&mut self) -> u16 {
         self.rng.random::<u16>()
@@ -1231,32 +1223,75 @@ fn response_matches(query: &Message, resp: &Message) -> bool {
     resp.header.response && resp.header.id == query.header.id && resp.question() == query.question()
 }
 
-/// Groups loose records into RRsets by (name, type), in order of first
-/// appearance. As in [`RrSet::from_records`], a set takes the minimum TTL
-/// of its records and keeps each distinct RDATA once, in order. Each record
-/// is compared against the sets built so far, which one response section
-/// keeps to a handful.
-fn group_rrsets<'a>(records: impl IntoIterator<Item = &'a Record>) -> Vec<RrSet> {
-    let mut groups: Vec<(RrKey, Ttl, Vec<RData>)> = Vec::new();
-    for r in records {
-        let rtype = r.rtype();
-        match groups
-            .iter_mut()
-            .find(|(key, ..)| key.rtype == rtype && key.name == *r.name())
-        {
-            Some((_, ttl, rdatas)) => {
-                *ttl = (*ttl).min(r.ttl());
-                if !rdatas.contains(r.rdata()) {
-                    rdatas.push(r.rdata().clone());
-                }
-            }
-            None => groups.push((r.key(), r.ttl(), vec![r.rdata().clone()])),
-        }
+/// One RRset of a response section, grouped where it lies: the records
+/// sharing the owner and type of the section's record at `records[0]`.
+#[derive(Clone, Copy)]
+struct SectionRrSet<'a> {
+    /// The section from the set's first record on.
+    records: &'a [Record],
+    /// The minimum TTL across the set's records.
+    ttl: Ttl,
+}
+
+impl<'a> SectionRrSet<'a> {
+    fn name(&self) -> &'a Name {
+        self.records[0].name()
     }
-    groups
-        .into_iter()
-        .map(|(key, ttl, rdatas)| RrSet::new(key, ttl, rdatas))
-        .collect()
+
+    fn rtype(&self) -> RecordType {
+        self.records[0].rtype()
+    }
+
+    /// Each distinct RDATA once, in order of first appearance.
+    fn rdatas(&self) -> impl Iterator<Item = &'a RData> + Clone {
+        let (name, rtype) = (self.name(), self.rtype());
+        let members = self
+            .records
+            .iter()
+            .filter(move |r| r.rtype() == rtype && r.name() == name)
+            .map(Record::rdata);
+        members
+            .clone()
+            .enumerate()
+            .filter(move |&(i, rd)| !members.clone().take(i).any(|seen| seen == rd))
+            .map(|(_, rd)| rd)
+    }
+}
+
+/// The RRsets of one response section by (name, type), in order of first
+/// appearance. As in [`dns_core::RrSet::from_records`], a set takes the minimum TTL
+/// of its records and keeps each distinct RDATA once, in order. Sets
+/// borrow the section instead of copying it: each record is compared with
+/// the records before it, which one section keeps to a handful.
+fn section_rrsets(records: &[Record]) -> impl Iterator<Item = SectionRrSet<'_>> {
+    (0..records.len()).filter_map(move |i| {
+        let first = &records[i];
+        let same = |r: &&Record| r.rtype() == first.rtype() && r.name() == first.name();
+        if records[..i].iter().any(|r| same(&r)) {
+            return None; // an earlier record opened this set
+        }
+        let ttl = records[i..].iter().filter(same).map(Record::ttl).min()?;
+        Some(SectionRrSet {
+            records: &records[i..],
+            ttl,
+        })
+    })
+}
+
+/// The addresses `resp` carries for server `ns`: its A records in the
+/// additional and then the answer section.
+fn response_addrs<'a>(
+    resp: &'a Message,
+    ns: &'a Name,
+) -> impl Iterator<Item = Ipv4Addr> + Clone + 'a {
+    resp.additionals
+        .iter()
+        .chain(&resp.answers)
+        .filter(move |r| r.name() == ns)
+        .filter_map(|r| match r.rdata() {
+            RData::A(a) => Some(*a),
+            _ => None,
+        })
 }
 
 /// From a referral response, the child zone to descend into: the deepest
@@ -1275,6 +1310,7 @@ fn referral_child(resp: &Message, zone: &Name, qname: &Name) -> Option<Name> {
 mod tests {
     use super::*;
     use crate::{RetryPolicy, RootHints};
+    use dns_core::RrSet;
 
     /// Upstream where every server is dead; records the query IDs and
     /// backoff waits it sees.
@@ -1434,9 +1470,18 @@ mod tests {
             Ttl::from_hours(1),
             RData::A(Ipv4Addr::new(192, 0, 2, 1)),
         );
-        let set = RrSet::from_records(std::slice::from_ref(&a)).unwrap();
-        cs.backend
-            .insert_record(set, SimTime::ZERO, Credibility::AuthAnswer);
+        let backend = cs.backend.clone();
+        let insert = |rec: &Record| {
+            backend.insert_record(
+                rec.name(),
+                rec.rtype(),
+                rec.ttl(),
+                [rec.rdata()],
+                SimTime::ZERO,
+                Credibility::AuthAnswer,
+            )
+        };
+        insert(&a);
         let direct = cs
             .backend
             .record_expiry(&q.name, RecordType::A, SimTime::ZERO)
@@ -1450,9 +1495,7 @@ mod tests {
             Ttl::from_mins(30),
             RData::Cname("www.test".parse().unwrap()),
         );
-        let set = RrSet::from_records(std::slice::from_ref(&cname)).unwrap();
-        cs.backend
-            .insert_record(set, SimTime::ZERO, Credibility::AuthAnswer);
+        insert(&cname);
         let alias_q = Question::new("alias.test".parse().unwrap(), RecordType::A);
         let link = cs
             .backend
@@ -1497,7 +1540,12 @@ mod tests {
             // Duplicate RDATA under another TTL.
             ns("a.x.com", Ttl::from_hours(2)),
         ];
-        let sets = group_rrsets(&recs);
+        let sets: Vec<RrSet> = section_rrsets(&recs)
+            .map(|s| {
+                let key = RrKey::new(s.name().clone(), s.rtype());
+                RrSet::new(key, s.ttl, s.rdatas().cloned().collect())
+            })
+            .collect();
         let keys: Vec<(&Name, RecordType)> = sets.iter().map(|s| (s.name(), s.rtype())).collect();
         assert_eq!(
             keys,

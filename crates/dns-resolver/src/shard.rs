@@ -38,7 +38,7 @@
 use crate::cache::{CacheEntry, Credibility, NegativeInsertOutcome, NegativeKind, RecordCache};
 use crate::inflight::{Flight, InflightTable};
 use crate::infra::{InfraCache, InfraEntry};
-use dns_core::{Name, RecordType, RrSet, SimDuration, SimTime, Ttl};
+use dns_core::{Name, RData, RecordType, SimDuration, SimTime, Ttl};
 use dns_obs::{CounterId, HistId, Registry};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -235,10 +235,25 @@ impl ShardedCache {
         self.with_record(name, rtype, now, |e| e.map(|e| e.expires_at))
     }
 
-    /// Inserts an RRset under [`RecordCache::insert`]'s credibility rules.
-    pub(crate) fn insert_record(&self, set: RrSet, now: SimTime, credibility: Credibility) -> bool {
-        let mut shard = self.shard_for(set.name()).lock().unwrap();
-        let stored = shard.cache.insert(set, now, credibility);
+    /// Stores the RRset `(name, rtype)` under
+    /// [`RecordCache::insert_rdatas`]'s rules.
+    pub(crate) fn insert_record<'a, R>(
+        &self,
+        name: &Name,
+        rtype: RecordType,
+        ttl: Ttl,
+        rdatas: R,
+        now: SimTime,
+        credibility: Credibility,
+    ) -> bool
+    where
+        R: IntoIterator<Item = &'a RData>,
+        R::IntoIter: Clone,
+    {
+        let mut shard = self.shard_for(name).lock().unwrap();
+        let stored = shard
+            .cache
+            .insert_rdatas(name, rtype, ttl, rdatas, now, credibility);
         if stored {
             let id = shard.inserts;
             shard.obs.inc(id);
@@ -395,20 +410,24 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dns_core::{RData, Record};
     use std::net::Ipv4Addr;
 
     fn name(s: &str) -> Name {
         s.parse().unwrap()
     }
 
-    fn a_set(owner: &str, last: u8) -> RrSet {
-        let rr = Record::new(
-            name(owner),
-            Ttl::from_hours(1),
-            RData::A(Ipv4Addr::new(192, 0, 2, last)),
+    fn insert_a(c: &ShardedCache, owner: &str, last: u8) {
+        let rdata = RData::A(Ipv4Addr::new(192, 0, 2, last));
+        let owner = name(owner);
+        let ttl = Ttl::from_hours(1);
+        c.insert_record(
+            &owner,
+            RecordType::A,
+            ttl,
+            [&rdata],
+            SimTime::ZERO,
+            Credibility::AuthAnswer,
         );
-        RrSet::from_records(&[rr]).unwrap()
     }
 
     fn has_record(c: &ShardedCache, owner: &str) -> bool {
@@ -421,25 +440,13 @@ mod tests {
     fn clones_share_state_and_forks_copy_it() {
         for shards in [1, 4] {
             let a = ShardedCache::with_shards(shards);
-            a.insert_record(
-                a_set("old.x.com", 1),
-                SimTime::ZERO,
-                Credibility::AuthAnswer,
-            );
+            insert_a(&a, "old.x.com", 1);
             a.set_zone_inflight_cap(Some(1));
             let (clone, fork) = (a.clone(), a.fork());
             assert_eq!(fork.shard_count(), shards);
             assert!(has_record(&fork, "old.x.com"), "the fork starts warm");
-            fork.insert_record(
-                a_set("new.x.com", 2),
-                SimTime::ZERO,
-                Credibility::AuthAnswer,
-            );
-            a.insert_record(
-                a_set("own.x.com", 3),
-                SimTime::ZERO,
-                Credibility::AuthAnswer,
-            );
+            insert_a(&fork, "new.x.com", 2);
+            insert_a(&a, "own.x.com", 3);
             assert!(has_record(&clone, "own.x.com"), "a clone shares the cache");
             assert!(!has_record(&a, "new.x.com"), "fork writes stay in the fork");
             assert!(!has_record(&fork, "own.x.com"), "parent writes stay out");
@@ -463,11 +470,7 @@ mod tests {
     fn occupancy_sums_across_shards() {
         let c = ShardedCache::with_shards(8);
         for i in 0..20u8 {
-            c.insert_record(
-                a_set(&format!("h{i}.x.com"), i),
-                SimTime::ZERO,
-                Credibility::AuthAnswer,
-            );
+            insert_a(&c, &format!("h{i}.x.com"), i);
         }
         assert_eq!(c.data_fresh_rrsets(SimTime::from_mins(1)), 20);
         assert_eq!(c.data_fresh_records(SimTime::from_mins(1)), 20);
@@ -479,8 +482,8 @@ mod tests {
     #[test]
     fn merged_registry_folds_shard_counters() {
         let c = ShardedCache::with_shards(4);
-        c.insert_record(a_set("a.x.com", 1), SimTime::ZERO, Credibility::AuthAnswer);
-        c.insert_record(a_set("b.y.org", 2), SimTime::ZERO, Credibility::AuthAnswer);
+        insert_a(&c, "a.x.com", 1);
+        insert_a(&c, "b.y.org", 2);
         c.with_record(
             &name("a.x.com"),
             RecordType::A,

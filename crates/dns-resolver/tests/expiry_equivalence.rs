@@ -399,7 +399,9 @@ proptest! {
                         .map(|i| (ns_name(zone, i), Ipv4Addr::new(10, 0, zone as u8, i as u8)))
                         .collect();
                     let ttl = Ttl::from_secs(ttl_secs);
-                    let installed = cache.install(pool_name(zone), ns, glue, ttl, now, source, refresh);
+                    let glue = glue.iter().map(|(n, a)| (n, *a));
+                    let installed =
+                        cache.install(&pool_name(zone), &ns, glue, ttl, now, source, refresh).is_some();
                     let model_installed =
                         model.install(zone, order, (0..glue_count).collect(), ttl, now, source, refresh);
                     prop_assert_eq!(installed, model_installed);

@@ -128,10 +128,11 @@ proptest! {
         let policy = RenewalPolicy::lru(1);
         for (i, ttl) in &zone_ttls {
             let zone: Name = format!("z{i}.test").parse().unwrap();
+            let ns: Name = format!("ns.z{i}.test").parse().unwrap();
             cache.install(
-                zone.clone(),
-                vec![format!("ns.z{i}.test").parse().unwrap()],
-                vec![(format!("ns.z{i}.test").parse().unwrap(), Ipv4Addr::new(10, 0, 0, *i))],
+                &zone,
+                [&ns],
+                [(&ns, Ipv4Addr::new(10, 0, 0, *i))],
                 Ttl::from_secs(*ttl),
                 SimTime::ZERO,
                 InfraSource::Child,
@@ -229,10 +230,11 @@ proptest! {
     fn gap_samples_once_per_expiry(uses in proptest::collection::vec(0u64..200_000, 1..20)) {
         let mut cache = InfraCache::new();
         let zone: Name = "z.test".parse().unwrap();
+        let ns: Name = "ns.z.test".parse().unwrap();
         cache.install(
-            zone.clone(),
-            vec!["ns.z.test".parse().unwrap()],
-            vec![("ns.z.test".parse().unwrap(), Ipv4Addr::new(10, 0, 0, 1))],
+            &zone,
+            [&ns],
+            [(&ns, Ipv4Addr::new(10, 0, 0, 1))],
             Ttl::from_secs(3_600),
             SimTime::ZERO,
             InfraSource::Child,

@@ -2,10 +2,13 @@
 //! two cores of one pool resolve over a simulated internet whose root and
 //! TLD servers black out mid-run, fed seeded bursts of valid queries in
 //! random 0x20 casing, never-repeating NXDOMAIN names, CHAOS queries,
-//! random bytes, mutated queries and responses. Every datagram the
-//! decoder accepts as a query gets exactly one reply, in arrival order, to
-//! its peer, echoing its ID and question bytes; nothing else gets one; and
-//! a seed replays to byte-identical replies and counters.
+//! random bytes, mutated queries and responses. Every datagram framed as
+//! a query gets exactly one reply, in arrival order, to its peer, echoing
+//! its ID and question bytes; nothing else gets one; and a seed replays to
+//! byte-identical replies and counters. A datagram is framed as a query
+//! when the decoder accepts it as one, or when the decoder rejects it but
+//! `wire::reply_to_undecodable` frames its header and question, whose
+//! NOTIMP or FORMERR reply is then the one sent.
 
 use dns_resilience::core::{wire, Message, Name, Question, RecordClass, RecordType};
 use dns_resilience::core::{SimDuration, SimTime};
@@ -147,6 +150,7 @@ fn run(world: &World, seed: u64) -> (Vec<(Vec<u8>, SocketAddr)>, DaemonStats, Re
     let (mut rng, mut nx, mut now) = (Rng(seed), 0, SimTime::from_hours(1));
     let (mut rx, mut tx) = (PacketBatch::new(), PacketBatch::new());
     let (mut replies, mut sent, mut peak_wire_bytes) = (Vec::new(), 0, 0);
+    let mut undecodable_replies = 0;
     while sent < DATAGRAMS {
         rx.clear();
         for _ in 0..=rng.below(MAX_BATCH).min(DATAGRAMS - sent - 1) {
@@ -156,23 +160,34 @@ fn run(world: &World, seed: u64) -> (Vec<(Vec<u8>, SocketAddr)>, DaemonStats, Re
         }
         cores[rng.below(2)].step(now, &rx, &mut tx);
 
-        // Exactly the datagrams that decode as queries are answered, in
-        // order, each to its own peer.
+        // Exactly the datagrams framed as queries are answered, in order,
+        // each to its own peer: those that decode as queries, and those
+        // the decoder rejects but the reply helper frames, with its reply.
         let queries: Vec<_> = rx
             .iter()
             .filter_map(|p| match wire::decode(p.bytes()) {
-                Ok(q) if !q.header.response => Some((p, q)),
-                _ => None,
+                Ok(q) if !q.header.response => Some((p, Ok(q))),
+                Ok(_) => None,
+                Err(_) => wire::reply_to_undecodable(p.bytes(), true).map(|r| (p, Err(r))),
             })
             .collect();
         let want: Vec<_> = queries.iter().map(|(p, _)| p.peer()).collect();
         let got: Vec<_> = tx.iter().map(|p| p.peer()).collect();
         assert_eq!(got, want, "seed {seed} at {now}");
         for ((packet, query), reply) in queries.iter().zip(tx.iter()) {
-            assert_echoes(packet.bytes(), query, reply.bytes());
-            if query.question().is_none_or(|q| q.class != RecordClass::Ch) {
-                replies.push((reply.bytes().to_vec(), reply.peer()));
+            match query {
+                Ok(query) => {
+                    assert_echoes(packet.bytes(), query, reply.bytes());
+                    if query.question().is_some_and(|q| q.class == RecordClass::Ch) {
+                        continue;
+                    }
+                }
+                Err(helper_reply) => {
+                    assert_eq!(reply.bytes(), &helper_reply[..], "seed {seed} at {now}");
+                    undecodable_replies += 1;
+                }
             }
+            replies.push((reply.bytes().to_vec(), reply.peer()));
         }
         peak_wire_bytes = peak_wire_bytes.max(resolved.stats().wire_bytes);
         now += SimDuration::from_secs(rng.below(241) as u64);
@@ -182,8 +197,10 @@ fn run(world: &World, seed: u64) -> (Vec<(Vec<u8>, SocketAddr)>, DaemonStats, Re
     // eviction victim, never comes up.
     assert!(peak_wire_bytes < DEFAULT_WIRE_CACHE_BYTES as u64);
     let (stats, metrics) = (resolved.stats(), resolved.metrics());
-    // Every lane is reached, and the run crosses the whole blackout.
+    // Every lane is reached, undecodable queries among them, and the run
+    // crosses the whole blackout.
     assert!(stats.wire_hits > 0 && stats.wire_misses > 0 && stats.wire_bypass > 0);
+    assert!(undecodable_replies > 0, "seed {seed}");
     assert!(
         now > SimTime::from_hours(8) && metrics.failed_in > 0,
         "{now}: {metrics}"

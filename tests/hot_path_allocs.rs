@@ -7,19 +7,23 @@
 //! 3. the daemon's wire fast lane: `fast_query` → `lowercase_key` →
 //!    `WireCache::serve`, for a plain and a 0x20 mixed-case query.
 //!
-//! And a ceiling on:
+//! And ceilings on:
 //!
 //! 4. a resolution whose authoritative answer carries the zone's NS set
 //!    and glue, the TTL-refresh path that caches the answer, the glue and
-//!    the refreshed NS set on every miss.
+//!    the refreshed NS set on every miss;
+//! 5. the authoritative server's positive answer, which the simulated
+//!    farm builds on every exchange of the paper replay.
 //!
 //! A counting global allocator counts per thread, so the tests running
 //! beside a gate on other test threads do not show up in its count. A
 //! positive control proves the counter sees a real allocation.
 
+use dns_resilience::auth::AuthServer;
 use dns_resilience::core::wire::{self, MAX_MESSAGE_LEN};
 use dns_resilience::core::{
-    Message, Name, Question, RData, Record, RecordType, RrSet, SimTime, Ttl,
+    Message, Name, Question, RData, Record, RecordType, ResponseKind, RrSet, SimTime, Ttl,
+    ZoneBuilder,
 };
 use dns_resilience::netd::{fast_query, lowercase_key, WireCache};
 use dns_resilience::resolver::{
@@ -214,11 +218,12 @@ impl Upstream for RefreshingZone {
 
 #[test]
 fn refresh_path_resolution_allocations_stay_bounded() {
-    // The resolver allocated 14,017 times over these 1,000 resolutions
-    // when this gate was set. Grouping each section through a hash map,
-    // cloning both NS lists on every install and pushing an expiry-heap
-    // pair per refresh made it 26,027 before.
-    const MAX_ALLOCS: u64 = 14_017;
+    // The resolver allocated 4,017 times over these 1,000 resolutions
+    // when this gate was set. Copying every section into RRsets, the
+    // refreshed NS set into fresh lists and the answer through a
+    // throwaway list made it 14,017 before, and grouping through a hash
+    // map with an expiry-heap pair per refresh 26,027 before that.
+    const MAX_ALLOCS: u64 = 4_017;
     const NAMES: u64 = 1_000;
 
     let hints = RootHints::new(vec![(
@@ -262,5 +267,39 @@ fn refresh_path_resolution_allocations_stay_bounded() {
     assert!(
         allocs <= MAX_ALLOCS,
         "refresh-path resolution allocated {allocs} times over {NAMES} resolutions (gate {MAX_ALLOCS})"
+    );
+}
+
+#[test]
+fn auth_positive_answer_allocates_only_its_sections() {
+    // The question plus the three record sections. Expanding each RRset
+    // into a record list before copying it, and a second response for
+    // the authoritative branch, made it 9.
+    const MAX_ALLOCS: u64 = 4;
+
+    let ip = |last| Ipv4Addr::new(192, 0, 2, last);
+    let zone = ZoneBuilder::new(name("bench.test"))
+        .ns(name("ns1.bench.test"), ip(1), Ttl::from_days(1))
+        .ns(name("ns2.bench.test"), ip(2), Ttl::from_days(1))
+        .a(name("www.bench.test"), ip(80), Ttl::from_hours(1))
+        .build()
+        .expect("valid zone");
+    let mut server = AuthServer::new(name("ns1.bench.test"), ip(1));
+    server.add_zone(zone);
+    let query = Message::query(7, Question::new(name("www.bench.test"), RecordType::A));
+    let warm = server.handle_query(&query);
+    assert_eq!(warm.kind(), ResponseKind::Answer);
+    assert_eq!(
+        (warm.authorities.len(), warm.additionals.len()),
+        (2, 2),
+        "the answer carries the NS set and both servers' glue"
+    );
+
+    let mut resp = None;
+    let allocs = allocs_during(|| resp = Some(server.handle_query(black_box(&query))));
+    assert_eq!(resp, Some(warm));
+    assert!(
+        allocs <= MAX_ALLOCS,
+        "a positive answer allocated {allocs} times (gate {MAX_ALLOCS})"
     );
 }
